@@ -16,6 +16,7 @@ from repro.core.recipes import (
     WalkTuning,
 )
 from repro.core.replayer import AttackEnvironment, Replayer
+from repro.cpu.probe import Probe
 from repro.isa.program import ProgramBuilder
 
 from conftest import emit, render_table
@@ -34,21 +35,27 @@ def _window_victim(process, handle_va, work_va):
     return b.build()
 
 
+class _WorkLoads(Probe):
+    """Counts the victim's issued loads from the work page."""
+
+    def __init__(self, work_va):
+        self.work_va = work_va
+        self.count = 0
+
+    def on_issue(self, core, context, entry):
+        if context.context_id == 0 and entry.instr.is_load \
+                and entry.addr is not None and entry.addr >= self.work_va:
+            self.count += 1
+
+
 def _measure(tuning):
     rep = Replayer(AttackEnvironment.build())
     process = rep.create_victim_process(enclave=False)
     handle_va = process.alloc(4096, "handle")
     work_va = process.alloc(4096, "work")
     program = _window_victim(process, handle_va, work_va)
-    issued = [0]
-
-    def hook(context, entry):
-        if context.context_id == 0 and entry.instr.is_load \
-                and entry.addr is not None and entry.addr >= work_va:
-            issued[0] += 1
-
-    rep.machine.core.issue_hooks.append(hook)
-    walk_latency = [0]
+    issued = _WorkLoads(work_va)
+    rep.machine.core.attach(issued)
 
     def attack_fn(event):
         return ReplayDecision(ReplayAction.RELEASE)
@@ -61,7 +68,7 @@ def _measure(tuning):
     # Capture the handle's actual walk latency from the core.
     rep.machine.run(20_000,
                     until=lambda m: recipe.replays >= 1)
-    window = issued[0]
+    window = issued.count
     rep.run_until_victim_done()
     return window
 

@@ -119,7 +119,7 @@ from repro.service import JobSpec, ServiceClient, ServiceError
 from repro.sgx.enclave import EnclaveConfig
 from repro.snapshot import MachineSnapshot, state_digest, warm_start
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AESCacheAttack",

@@ -21,17 +21,18 @@ engines):
 
 A table entry exists only while the location actually differs across
 lanes; lane-invariant values live solely in the leader.  The overlay
-is maintained synchronously by read-only hooks on the leader's core
-(decode / issue / complete / retire), each mirroring the exact scalar
-dataflow rule it shadows, so every vector's element 0 always equals
-the leader's scalar value — the invariant all bit-exactness rests on.
+is maintained synchronously by the fleet itself, a read-only probe on
+the leader's core (decode / issue / complete / retire), each callback
+mirroring the exact scalar dataflow rule it shadows, so every
+vector's element 0 always equals the leader's scalar value — the
+invariant all bit-exactness rests on.
 
 **Divergence and peel-off.**  The lockstep premise breaks the moment
 per-lane data would change *control*: a branch whose lane outcome
 differs from the leader's, a load/store whose lane virtual address
 differs, an FDIV whose subnormal latency class differs, or any event
 the overlay does not model (page faults, TSX, interrupts).  Detection
-is synchronous — at the leader hook where the scalar core consumes
+is synchronous — at the leader callback where the scalar core consumes
 the value — and recovery is transparent: the divergent lane is
 *peeled* to a fresh scalar Machine materialised from the last window
 boundary (a cheap COW leader snapshot plus shallow copies of the
@@ -57,6 +58,7 @@ from repro.batch.lanes import make_ops
 from repro.batch.plan import FleetPlan
 from repro.cpu.core import MASK64, Core, _is_subnormal, _to_signed
 from repro.cpu.machine import Machine
+from repro.cpu.probe import Probe
 from repro.isa.instructions import Opcode
 
 #: Opcode -> lane-engine binop name (three-register ALU forms).
@@ -134,7 +136,7 @@ class _Boundary:
         self.store = store
 
 
-class MachineFleet:
+class MachineFleet(Probe):
     """N machines stepped in lockstep via a leader + taint overlay.
 
     ``lanes`` is a sequence of ``(seed, params)`` pairs, one per lane;
@@ -273,28 +275,11 @@ class MachineFleet:
                 if self._lane_reason[i] is None]
 
     # ------------------------------------------------------------------
-    # leader hooks (read-only mirrors of the scalar dataflow rules)
+    # leader probe (read-only mirrors of the scalar dataflow rules)
     # ------------------------------------------------------------------
 
-    def _attach(self):
-        core = self.core
-        core.decode_hooks.append(self._on_decode)
-        core.issue_hooks.append(self._on_issue)
-        core.complete_hooks.append(self._on_complete)
-        core.retire_hooks.append(self._on_retire)
-
-    def _detach(self):
-        core = self.core
-        for hooks, fn in ((core.decode_hooks, self._on_decode),
-                          (core.issue_hooks, self._on_issue),
-                          (core.complete_hooks, self._on_complete),
-                          (core.retire_hooks, self._on_retire)):
-            try:
-                hooks.remove(fn)
-            except ValueError:
-                pass
-
-    def _on_decode(self, context, entry, sources):
+    def on_decode(self, core, context, entry, sources):
+        """Seed operand taint from the resolved sources."""
         if self._peel_all is not None:
             return
         if entry.instr.op is Opcode.TBEGIN:
@@ -312,14 +297,16 @@ class MachineFleet:
                 taint = self.reg_taint.get((context_id, ref))
             elif kind == "value":
                 taint = self.val_taint.get((context_id, ref.seq))
-            else:  # pending: delivered by _on_complete later
+            else:  # pending: delivered by on_complete later
                 continue
             if taint is not None:
                 op_taint[(context_id, entry.seq, slot)] = taint
 
-    def _on_complete(self, context, entry):
-        # Mirrors the dependent-distribution loop: a completing
-        # entry's value taint becomes its dependents' operand taint.
+    def on_complete(self, core, context, entry):
+        """Mirror the dependent-distribution loop: a completing
+        entry's value taint becomes its dependents' operand taint."""
+        # A faulted entry distributes nothing; its on_issue already
+        # set _peel_all, so the check below returns first.
         if self._peel_all is not None:
             return
         taint = self.val_taint.get((context.context_id, entry.seq))
@@ -332,7 +319,8 @@ class MachineFleet:
                 continue
             op_taint[(context_id, dependent.seq, slot)] = taint
 
-    def _on_issue(self, context, entry):
+    def on_issue(self, core, context, entry):
+        """Mirror the issued op across lanes, or flag divergence."""
         if self._peel_all is not None:
             return
         if entry.fault is not None:
@@ -357,7 +345,8 @@ class MachineFleet:
         else:
             self._mirror_alu(context_id, entry, t0, t1)
 
-    def _on_retire(self, context, entry):
+    def on_retire(self, core, context, entry):
+        """Commit retired value taint to registers and memory."""
         if self._peel_all is not None:
             return
         context_id = context.context_id
@@ -681,7 +670,7 @@ class MachineFleet:
         deadline = self.plan.max_cycles
         leader = self.leader
         leader_lost = False
-        self._attach()
+        self.core.attach(self)
         try:
             boundary = self._take_boundary()
             interrupts0 = self._interrupt_count()
@@ -731,7 +720,7 @@ class MachineFleet:
                 boundary = self._take_boundary()
                 interrupts0 = self._interrupt_count()
         finally:
-            self._detach()
+            self.core.detach(self)
         if not leader_lost:
             # Finish the leader plain (followers all peeled or all
             # still convergent — either way the overlay is done).

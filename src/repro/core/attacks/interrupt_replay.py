@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.config import MachineConfig
 from repro.core.replayer import AttackEnvironment, Replayer
+from repro.cpu.probe import IssueCounter
 from repro.isa.instructions import Opcode
 from repro.victims.control_flow import setup_control_flow_victim
 
@@ -74,17 +75,8 @@ class InterruptReplayAttack:
         core = rep.machine.core
         ctx = rep.machine.contexts[0]
 
-        counts = {"div": 0, "mul": 0}
-
-        def observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                counts["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                counts["mul"] += 1
-
-        core.issue_hooks.append(observer)
+        issues = IssueCounter((Opcode.FDIV, Opcode.MUL))
+        core.attach(issues)
         rep.launch_victim(victim_proc, victim.program)
 
         delivered = 0
@@ -104,11 +96,12 @@ class InterruptReplayAttack:
                    for e in ctx.rob.entries):
                 ctx.pending_interrupt = "replay-irq"
                 delivered += 1
-        transmit = counts["div"] if secret == 1 else counts["mul"]
+        counts = issues.counts
+        transmit = counts[Opcode.FDIV] if secret == 1 else counts[Opcode.MUL]
         return InterruptReplayResult(
             secret=secret, replays_requested=self.replays,
             transmit_executions=transmit,
             interrupts_delivered=delivered,
             victim_finished=ctx.finished(),
-            mul_executions=counts["mul"],
-            div_executions=counts["div"])
+            mul_executions=counts[Opcode.MUL],
+            div_executions=counts[Opcode.FDIV])

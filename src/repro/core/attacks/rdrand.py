@@ -19,7 +19,7 @@ there should be such a fence, for security reasons."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.module import MicroScopeConfig
 from repro.core.recipes import (
@@ -30,6 +30,7 @@ from repro.core.recipes import (
 )
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.config import CoreConfig
+from repro.cpu.probe import IssueCounter, Probe
 from repro.config import MachineConfig
 from repro.isa.instructions import Opcode
 from repro.victims.integrity import setup_rdrand_victim
@@ -51,6 +52,33 @@ class RdrandBiasResult:
         good = sum(1 for v in self.outputs
                    if v % 2 == self.desired_parity)
         return good / len(self.outputs)
+
+
+class _ParityRacer(Probe):
+    """Wins the §7.2 PTE race for the victim's faulted handle (sets
+    the present bit before the walker reads the leaf) only when the
+    parity observed in the current window is the desired one."""
+
+    def __init__(self, window: IssueCounter, desired_parity: int,
+                 set_present: Callable[[], None]):
+        self.window = window
+        self.desired_parity = desired_parity
+        self.set_present = set_present
+
+    def observed_parity(self) -> Optional[int]:
+        if self.window.counts[Opcode.FDIV] >= 2:
+            return 1
+        if self.window.counts[Opcode.MUL] >= 2:
+            return 0
+        return None
+
+    def on_pte_race(self, core, context, entry) -> bool:
+        if entry.addr is None or context.context_id != 0:
+            return False
+        if self.observed_parity() != self.desired_parity:
+            return False
+        self.set_present()
+        return True
 
 
 @dataclass
@@ -92,43 +120,16 @@ class RdrandBiasAttack:
         # The SMT observer: unit usage of the victim context since the
         # last window began.  (Stands in for the timed port-contention
         # monitor demonstrated in the §6.1 attack.)
-        window = {"mul": 0, "div": 0}
-
-        def issue_observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                window["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                window["mul"] += 1
-
-        core.issue_hooks.append(issue_observer)
-
-        def observed_parity() -> Optional[int]:
-            if window["div"] >= 2:
-                return 1
-            if window["mul"] >= 2:
-                return 0
-            return None
-
+        window = IssueCounter((Opcode.MUL, Opcode.FDIV))
+        core.attach(window)
+        core.attach(_ParityRacer(
+            window, self.desired_parity,
+            lambda: rep.kernel.set_present(victim_proc, victim.handle_va,
+                                           True)))
         state = {"blind": False}
 
-        def race(context, entry) -> bool:
-            # Called at walk end for the faulted handle: win the race
-            # (set present before the walker reads the leaf) only when
-            # the observed parity is the desired one.
-            if entry.addr is None or context.context_id != 0:
-                return False
-            if observed_parity() == self.desired_parity:
-                rep.kernel.set_present(victim_proc, victim.handle_va,
-                                       True)
-                return True
-            return False
-
-        core.pte_race_hooks.append(race)
-
         def attack_fn(event) -> ReplayDecision:
-            window["mul"] = window["div"] = 0
+            window.reset()
             if event.replay_no >= self.max_replays_per_trial:
                 state["blind"] = True
                 return ReplayDecision(ReplayAction.RELEASE)

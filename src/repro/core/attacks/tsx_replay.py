@@ -21,6 +21,7 @@ from typing import List
 
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.config import CoreConfig
+from repro.cpu.probe import IssueCounter
 from repro.config import MachineConfig
 from repro.isa.instructions import Opcode
 from repro.victims.integrity import setup_tsx_victim
@@ -85,22 +86,13 @@ class TSXReplayAttack:
         # Observer: parity leaks through unit usage *inside* the
         # transaction (these instructions execute and even retire into
         # the transactional buffer before any abort).
-        window = {"mul": 0, "div": 0}
-
-        def issue_observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                window["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                window["mul"] += 1
-
-        core.issue_hooks.append(issue_observer)
+        window = IssueCounter((Opcode.MUL, Opcode.FDIV))
+        core.attach(window)
 
         def undesired_parity_observed() -> bool:
             if self.desired_parity == 0:
-                return window["div"] >= 2
-            return window["mul"] >= 2
+                return window.counts[Opcode.FDIV] >= 2
+            return window.counts[Opcode.MUL] >= 2
 
         rep.launch_victim(victim_proc, victim.program)
         # Drive the machine, evicting the write-set line whenever the
@@ -113,9 +105,9 @@ class TSXReplayAttack:
             budget -= 10
             if victim_ctx.in_transaction and undesired_parity_observed():
                 rep.machine.hierarchy.flush_line(buffer_paddr)
-                window["mul"] = window["div"] = 0
+                window.reset()
             elif not victim_ctx.in_transaction:
-                window["mul"] = window["div"] = 0
+                window.reset()
         value = victim.read_output(victim_proc)
         return value, victim_ctx.stats.txn_aborts
 

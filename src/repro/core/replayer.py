@@ -144,12 +144,19 @@ class Replayer:
         spliced back into the machine bit-exactly and the recorded
         cycle count returned.  A recipe whose callbacks cannot be
         keyed soundly (bound methods, closures over live objects) runs
-        cold and bumps the memo's ``uncacheable`` counter.
+        cold and bumps the memo's ``uncacheable`` counter, and so does
+        a window run under a probe that steers execution (other than
+        the installed defense mechanism, whose state the snapshot
+        carries).
         """
         if self.memo is None:
             return self.run_until_released(recipe, max_cycles)
+        from repro.cpu.probe import steers
         from repro.memo.keys import Unmemoizable, recipe_fingerprint
         try:
+            if any(steers(probe) for probe in self.machine.core.probes
+                   if probe is not self.machine.defense):
+                raise Unmemoizable("a probe steers execution")
             extra = {"recipe": recipe_fingerprint(recipe),
                      "max_cycles": max_cycles}
         except Unmemoizable:

@@ -6,23 +6,9 @@ from repro.cpu.context import ContextState, ContextStats, HardwareContext
 from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.cpu.ports import Port, PortSet
+from repro.cpu.probe import IssueCounter, Probe
 from repro.cpu.rob import EntryState, ReorderBuffer, ROBEntry
 from repro.cpu.traps import PanicTrapHandler, TrapAction, TrapHandler
-
-
-def __getattr__(name: str):
-    # MachineConfig moved to repro.config (PEP 562 shim, see
-    # repro.cpu.machine for the matching warning).
-    if name == "MachineConfig":
-        import warnings
-
-        warnings.warn(
-            "importing MachineConfig from repro.cpu is deprecated; "
-            "import it from repro.config (or repro)",
-            DeprecationWarning, stacklevel=2)
-        from repro.config import MachineConfig
-        return MachineConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BranchPredictor",
@@ -36,7 +22,8 @@ __all__ = [
     "HardwareContext",
     "Core",
     "Machine",
-    "MachineConfig",
+    "IssueCounter",
+    "Probe",
     "Port",
     "PortSet",
     "EntryState",

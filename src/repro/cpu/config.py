@@ -90,8 +90,8 @@ def default_latencies() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class DefenseHookConfig:
-    """A hardware defense mechanism installed through the core's hook
-    layer (``squash_hooks`` / ``issue_gates`` / ``retire_hooks``).
+    """A hardware defense mechanism installed as a core probe
+    (:mod:`repro.cpu.probe`).
 
     ``scheme`` names a mechanism registered in
     :mod:`repro.evaluation.defenses.mechanisms` (e.g.

@@ -25,12 +25,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import CoreConfig, op_class
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
 from repro.cpu.ports import PortSet
+from repro.cpu.probe import EVENTS, Probe, callbacks
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
 from repro.isa.instructions import Instruction, Opcode
@@ -79,54 +80,47 @@ class Core:
         self._event_tiebreak = 0
         self._rdrand = random.Random(config.rdrand_seed)
         self._jitter = random.Random(config.rdtsc_jitter_seed)
-        self.retire_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: Optional PipelineTracer (repro.cpu.trace) receiving
-        #: fetch/issue/complete/retire/squash notifications.
-        self.tracer = None
-        #: Called after every successful issue; lets experiments model
-        #: an SMT observer watching which units the sibling uses.
-        self.issue_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: §7.2 PTE race: called when a faulted access finishes its
-        #: walk.  Returning True means the OS won the race and set the
-        #: present bit before the walker consumed the leaf entry — the
-        #: access then completes normally instead of faulting.
-        self.pte_race_hooks: List[Callable[[HardwareContext, ROBEntry], bool]] = []
-        #: Called after decode resolves an entry's source operands.
-        #: Receives ``(context, entry, sources)`` where ``sources`` has
-        #: one element per operand slot: ``None`` (no source register),
-        #: ``("arch", regname)`` (read from architectural state),
-        #: ``("value", producer)`` (copied from a completed producer)
-        #: or ``("pending", producer)`` (woken later by completion).
-        #: The rename map is updated *after* the hook runs, so the
-        #: producer identity is unrecoverable any later — same-register
-        #: read/write instructions overwrite it.
-        self.decode_hooks: List[Callable[
-            [HardwareContext, ROBEntry, tuple], None]] = []
-        #: Called when a non-squashed, non-faulted entry completes,
-        #: just before its value is distributed to dependents.
-        self.complete_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: Called on every squash with ``(context, squashed_entries,
-        #: reason, trigger)``; ``reason`` is the same string the tracer
-        #: and oracle see ("page-fault", "mispredict", "memory-order",
-        #: "interrupt:<kind>", "txn-abort:<kind>") and ``trigger`` the
-        #: entry that caused it (None for interrupts/aborts).  This is
-        #: where squash-tracking defenses (Jamais Vu, Delay-on-Squash,
-        #: SIMF, LEASH) learn about pipeline flushes.
-        self.squash_hooks: List[Callable[
-            [HardwareContext, List[ROBEntry], str,
-             Optional[ROBEntry]], None]] = []
-        #: Issue gates: predicates consulted before an entry may begin
-        #: execution.  Any gate returning False keeps the entry in the
-        #: ready queue for a later cycle (no port is consumed).  Zero
-        #: cost when empty — the list is checked before iteration.
-        self.issue_gates: List[Callable[
-            [HardwareContext, ROBEntry], bool]] = []
-        #: Optional leakage-oracle hub (repro.oracle) receiving squash
-        #: notifications with the triggering entry; None when no oracle
-        #: has ever been attached (the zero-cost default).
-        self.oracle = None
+        #: Attached probes (repro.cpu.probe), in attach order.
+        self.probes: Tuple[Probe, ...] = ()
+        self._rebuild_probe_callbacks()
         # Transaction aborts triggered by cache evictions land here.
         hierarchy.l1.add_evict_observer(self._on_l1_evict)
+
+    # ------------------------------------------------------------------
+    # probes
+    # ------------------------------------------------------------------
+
+    def attach(self, probe: Probe):
+        """Start delivering pipeline events to *probe* (after every
+        probe attached before it)."""
+        if any(p is probe for p in self.probes):
+            raise ValueError("probe is already attached")
+        self.probes += (probe,)
+        self._rebuild_probe_callbacks()
+
+    def detach(self, probe: Probe):
+        """Stop delivering events to *probe*."""
+        if not any(p is probe for p in self.probes):
+            raise ValueError("probe is not attached")
+        self.probes = tuple(p for p in self.probes if p is not probe)
+        self._rebuild_probe_callbacks()
+
+    def _rebuild_probe_callbacks(self):
+        # One tuple per event (self._on_fetch ... self._on_pte_race):
+        # an event with no listener costs its site one falsy check.
+        for event in EVENTS:
+            setattr(self, "_" + event, callbacks(self.probes, event))
+
+    def __getstate__(self):
+        # Probes are identity wiring, not machine state: a pickled core
+        # (e.g. reached by a snapshot digest) carries none.  Probes that
+        # steer execution are kept out of memoized windows instead
+        # (Replayer.run_window).
+        state = self.__dict__.copy()
+        state["probes"] = ()
+        for event in EVENTS:
+            state["_" + event] = ()
+        return state
 
     # ------------------------------------------------------------------
     # per-cycle driver
@@ -226,8 +220,8 @@ class Core:
         in-flight entry referenced from several structures (ROB, rename
         map, ready queue, load index, heap — including squashed entries
         that live only in the heap) stays a single object in the
-        snapshot.  Hooks, the tracer and the trap handler are identity
-        wiring, not machine state, and are left untouched.
+        snapshot.  Probes and the trap handler are identity wiring, not
+        machine state, and are left untouched.
         """
         memo: dict = {}
         return (
@@ -267,19 +261,12 @@ class Core:
     def _note_squash(self, context: HardwareContext, squashed,
                      reason: str, trigger: Optional[ROBEntry] = None):
         context.note_squashed(squashed)
-        if self.tracer is not None and squashed:
-            self.tracer.on_squash(self.cycle, squashed, reason)
-        if self.oracle is not None:
-            self.oracle.on_squash(self.cycle, context, squashed, reason,
-                                  trigger)
-        for hook in self.squash_hooks:
-            hook(context, squashed, reason, trigger)
+        for callback in self._on_squash:
+            callback(self, context, squashed, reason, trigger)
 
     def _schedule(self, entry: ROBEntry, latency: int):
         entry.state = EntryState.EXECUTING
         entry.issue_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.on_issue(self.cycle, entry)
         self._event_tiebreak += 1
         heapq.heappush(self._events,
                        (self.cycle + max(latency, 1), self._event_tiebreak,
@@ -292,17 +279,17 @@ class Core:
                 continue
             entry.state = EntryState.COMPLETED
             entry.complete_cycle = self.cycle
-            if self.tracer is not None:
-                self.tracer.on_complete(self.cycle, entry)
             if entry.mispredicted:
                 self._handle_mispredict(entry)
             if entry.faulted and entry.instr.is_load \
-                    and self.pte_race_hooks:
+                    and self._on_pte_race:
                 self._try_pte_race(entry)
+            if self._on_complete:
+                context = self.contexts[entry.context_id]
+                for callback in self._on_complete:
+                    callback(self, context, entry)
             if entry.faulted:
                 continue  # no value; dependents stay asleep until squash
-            for hook in self.complete_hooks:
-                hook(self.contexts[entry.context_id], entry)
             for dependent, slot in entry.dependents:
                 if dependent.squashed:
                     continue
@@ -315,11 +302,12 @@ class Core:
             entry.dependents.clear()
 
     def _try_pte_race(self, entry: ROBEntry):
-        """Give a registered racer the chance to satisfy the walk the
+        """Give a probe the chance to satisfy the walk the
         instant it finishes (the OS set the present bit just before the
         walker read the leaf entry — §7.2)."""
         context = self.contexts[entry.context_id]
-        if not any(hook(context, entry) for hook in self.pte_race_hooks):
+        if not any(callback(self, context, entry)
+                   for callback in self._on_pte_race):
             return
         process = context.process
         try:
@@ -432,10 +420,8 @@ class Core:
             context.unindex_load(entry)
         context.replay_candidates.discard(entry.index)
         context.stats.retired += 1
-        if self.tracer is not None:
-            self.tracer.on_retire(self.cycle, entry)
-        for hook in self.retire_hooks:
-            hook(context, entry)
+        for callback in self._on_retire:
+            callback(self, context, entry)
 
     def _drain_store(self, context: HardwareContext, entry: ROBEntry):
         if context.in_transaction:
@@ -555,30 +541,26 @@ class Core:
             if entry.seq == fence_seq and not \
                     context.rob.all_older_completed(entry.seq):
                 return False
-        if self.issue_gates and not all(
-                gate(context, entry) for gate in self.issue_gates):
-            return False  # held back by a defense mechanism
-        op_cls = entry.op_cls
+        for may_issue in self._may_issue:
+            if not may_issue(self, context, entry):
+                return False  # held back by a probe (e.g. a defense)
         if entry.instr.is_load:
-            issued = self._execute_load(context, entry)
-            if issued:
-                context.stats.issued += 1
-                context.index_inflight_load(entry)
-                for hook in self.issue_hooks:
-                    hook(context, entry)
-            return issued
-        latency = self._latency_for(entry)
-        port = self.ports.try_issue(self.cycle, op_cls, latency)
-        if port is None:
-            return False
-        entry.port_name = port.name
-        if entry.instr.is_store:
-            self._execute_store(context, entry, latency)
+            if not self._execute_load(context, entry):
+                return False
+            context.index_inflight_load(entry)
         else:
-            self._execute_alu(context, entry, latency)
+            latency = self._latency_for(entry)
+            port = self.ports.try_issue(self.cycle, entry.op_cls, latency)
+            if port is None:
+                return False
+            entry.port_name = port.name
+            if entry.instr.is_store:
+                self._execute_store(context, entry, latency)
+            else:
+                self._execute_alu(context, entry, latency)
         context.stats.issued += 1
-        for hook in self.issue_hooks:
-            hook(context, entry)
+        for callback in self._on_issue:
+            callback(self, context, entry)
         return True
 
     def _latency_for(self, entry: ROBEntry) -> int:
@@ -883,10 +865,11 @@ class Core:
             entry.is_replay = True
             context.stats.replays += 1
         context.stats.fetched += 1
-        if self.tracer is not None:
-            self.tracer.on_fetch(self.cycle, entry)
+        for callback in self._on_fetch:
+            callback(self, context, entry)
         # Resolve source operands against the rename map / arch state.
-        sources = [None, None] if self.decode_hooks else None
+        on_decode = self._on_decode
+        sources = [None, None] if on_decode else None
         for slot, src in enumerate((instr.rs1, instr.rs2)):
             if src is None:
                 continue
@@ -907,8 +890,8 @@ class Core:
                     sources[slot] = ("pending", producer)
         if sources is not None:
             src_tuple = tuple(sources)
-            for hook in self.decode_hooks:
-                hook(context, entry, src_tuple)
+            for callback in on_decode:
+                callback(self, context, entry, src_tuple)
         dest = instr.dest()
         if dest is not None:
             context.rename[dest] = entry

@@ -20,6 +20,7 @@ from repro.core.module import MicroScopeConfig
 from repro.core.recipes import ReplayAction, ReplayDecision, WalkLocation, WalkTuning
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.config import CoreConfig
+from repro.cpu.probe import IssueCounter
 from repro.config import MachineConfig
 from repro.isa.instructions import Opcode
 from repro.victims.control_flow import setup_control_flow_victim
@@ -74,13 +75,8 @@ def count_transmit_issues(replays: int, secret: int,
         module_config=MicroScopeConfig(fault_handler_cost=2000)))
     victim_proc = rep.create_victim_process("victim")
     victim = setup_control_flow_victim(victim_proc, secret)
-    issues = {"div": 0}
-
-    def observer(context, entry):
-        if context.context_id == 0 and entry.instr.op is Opcode.FDIV:
-            issues["div"] += 1
-
-    rep.machine.core.issue_hooks.append(observer)
+    issues = IssueCounter((Opcode.FDIV,))
+    rep.machine.core.attach(issues)
 
     def attack_fn(event) -> ReplayDecision:
         if event.replay_no >= replays:
@@ -98,4 +94,4 @@ def count_transmit_issues(replays: int, secret: int,
     rep.run_until_victim_done(context_id=0, max_cycles=5_000_000)
     # Subtract the architectural (retired) executions after release.
     architectural = 2 if secret == 1 else 0
-    return max(0, issues["div"] - architectural)
+    return max(0, issues.counts[Opcode.FDIV] - architectural)

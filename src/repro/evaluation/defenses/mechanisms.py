@@ -3,12 +3,12 @@
 The follow-on literature's defenses (Jamais Vu, Delay-on-Squash,
 SIMF, LEASH) are not knobs on existing subsystems the way
 ``fence_on_flush`` is — they are small state machines that watch the
-pipeline through the core's hook layer (``squash_hooks``,
-``retire_hooks``, ``issue_hooks``) and push back through
-``issue_gates``.  Each one is a :class:`DefenseMechanism`:
+pipeline as core probes (``on_squash``, ``on_retire``, ``on_issue``;
+see :mod:`repro.cpu.probe`) and push back through ``may_issue``.
+Each one is a :class:`DefenseMechanism`:
 
-* ``attach(machine)`` registers its hooks (identity wiring, done once
-  at machine construction);
+* ``attach(machine)`` attaches it to the core (identity wiring, done
+  once at machine construction);
 * ``capture()`` / ``restore()`` clone its mutable state, which the
   machine appends to its own snapshot payload — so Replayer
   checkpoints, window memoization and the batch engine stay bit-exact
@@ -27,21 +27,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
 from repro.cpu.context import HardwareContext
+from repro.cpu.probe import Probe
 from repro.cpu.rob import EntryState, ROBEntry
 
 if TYPE_CHECKING:
     from repro.cpu.config import DefenseHookConfig
 
 
-class DefenseMechanism:
-    """Base class: a defense installed through the core hook layer."""
+class DefenseMechanism(Probe):
+    """Base class: a defense installed as a core probe."""
 
     #: Registry key; subclasses override.
     scheme: str = ""
 
     def attach(self, machine) -> None:
-        """Register hooks on *machine* (called once, at construction)."""
-        raise NotImplementedError
+        """Attach to *machine*'s core (called once, at construction);
+        subclasses extend this to create their metric counters."""
+        machine.core.attach(self)
 
     def capture(self) -> tuple:
         """Clone the mechanism's mutable state (snapshot support)."""

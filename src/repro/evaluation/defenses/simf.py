@@ -53,12 +53,13 @@ class SIMFFlushMechanism(DefenseMechanism):
         self._flushes = None
 
     def attach(self, machine) -> None:
+        super().attach(machine)
         self._machine = machine
-        machine.core.squash_hooks.append(self._on_squash)
         self._flushes = machine.metrics.counter("defense.simf.flushes")
 
-    def _on_squash(self, context: HardwareContext, squashed,
-                   reason: str, trigger: Optional[ROBEntry]) -> None:
+    def on_squash(self, core, context: HardwareContext, squashed,
+                  reason: str, trigger: Optional[ROBEntry]) -> None:
+        """Flush on squashes that enter the kernel."""
         if not is_kernel_entry(reason):
             return
         self._machine.hierarchy.flush_all()

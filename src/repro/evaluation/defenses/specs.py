@@ -85,8 +85,8 @@ def _jamais_vu_spec(name: str, variant: str, decay: str,
                "before replay 1, so in this model no window leaks",),
         mechanism=(
             "A per-context table remembers which program indices were "
-            "squashed (``squash_hooks``); a gate on the issue stage "
-            "(``issue_gates``) holds a flagged instruction in the "
+            "squashed (``on_squash``); an issue-stage gate "
+            "(``may_issue``) holds a flagged instruction in the "
             "ready queue until every older ROB entry has completed "
             "without faulting, i.e. until it is no longer "
             f"speculative.  Tracking state decays by {decay}."),

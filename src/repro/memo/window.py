@@ -12,8 +12,8 @@ instead of simulating a single cycle.
 
 Soundness over hit rate: the digest is a pure function of logical
 state, so two equal keys imply bit-identical executions; anything the
-key cannot see (bound-method callbacks, non-primitive closure state)
-raises :class:`~repro.memo.keys.Unmemoizable` upstream and runs cold.
+key cannot see (bound-method callbacks, non-primitive closure state,
+core probes that steer execution) raises :class:`~repro.memo.keys.Unmemoizable` upstream and runs cold.
 A poisoned entry (integrity digest mismatch, undecodable result,
 failed restore, rejected by the verify hook) degrades to a recompute
 with a counter bump — never a wrong result.

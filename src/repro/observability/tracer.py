@@ -24,18 +24,19 @@ provided:
 Timestamps are simulated cycles, exported through the trace format's
 microsecond field — i.e. 1 "us" in the viewer is 1 cycle.
 
-The tracer also implements the core's pipeline-tracer protocol
-(``on_fetch``/``on_issue``/``on_complete``/``on_retire``/
-``on_squash``), recording every dynamic instruction as a completed
-slice on its context's track.  Attach it with
-:meth:`repro.cpu.machine.Machine.attach_tracer`, which wires both the
-core notifications and the kernel/module emission sites at once.
+The tracer is also a core :class:`~repro.cpu.probe.Probe`
+(``on_fetch``/``on_retire``/``on_squash``), recording every dynamic
+instruction as a completed slice on its context's track.  Attach it
+with :meth:`repro.cpu.machine.Machine.attach_tracer`, which wires
+both the core probe and the kernel/module emission sites at once.
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.cpu.probe import Probe
 
 #: Synthetic track ("thread") ids for non-context emitters.  Context
 #: tracks use their context_id directly.
@@ -93,7 +94,7 @@ class TraceEvent:
                 f"tid={self.tid})")
 
 
-class EventTracer:
+class EventTracer(Probe):
     """Ring-buffered structured tracer."""
 
     def __init__(self, capacity: int = 1 << 16,
@@ -163,7 +164,7 @@ class EventTracer:
         self._append(TraceEvent(name, "counter", PH_COUNTER, ts,
                                 args=dict(values)))
 
-    # --- core pipeline-tracer protocol ------------------------------------
+    # --- core probe ---------------------------------------------------------
     #
     # Instruction lifecycles are recorded as one complete slice each,
     # emitted at the terminal transition (retire or squash) when the
@@ -172,15 +173,9 @@ class EventTracer:
     def _key(self, entry) -> int:
         return (entry.context_id << 48) | entry.seq
 
-    def on_fetch(self, cycle: int, entry) -> None:
+    def on_fetch(self, core, context, entry) -> None:
         if self.trace_instructions:
-            self._fetch_cycles[self._key(entry)] = cycle
-
-    def on_issue(self, cycle: int, entry) -> None:
-        pass  # issue_cycle is read off the entry at retire/squash
-
-    def on_complete(self, cycle: int, entry) -> None:
-        pass  # complete_cycle is read off the entry at retire/squash
+            self._fetch_cycles[self._key(entry)] = core.cycle
 
     def _instruction_slice(self, cycle: int, entry, cat: str,
                            **extra: Any) -> None:
@@ -199,16 +194,16 @@ class EventTracer:
                                 fetched, dur=max(cycle - fetched, 1),
                                 tid=entry.context_id, args=args))
 
-    def on_retire(self, cycle: int, entry) -> None:
+    def on_retire(self, core, context, entry) -> None:
         if self.trace_instructions:
-            self._instruction_slice(cycle, entry, "pipeline")
+            self._instruction_slice(core.cycle, entry, "pipeline")
 
-    def on_squash(self, cycle: int, entries: Sequence, reason: str
-                  ) -> None:
+    def on_squash(self, core, context, squashed: Sequence, reason: str,
+                  trigger) -> None:
         if not self.trace_instructions:
             return
-        for entry in entries:
-            self._instruction_slice(cycle, entry, "squash",
+        for entry in squashed:
+            self._instruction_slice(core.cycle, entry, "squash",
                                     reason=reason)
 
     # --- exporters --------------------------------------------------------

@@ -5,8 +5,8 @@ component of a microarchitectural event — which cache set/way a load
 touched, which issue port an instruction occupied, how long a page
 walk took, which VPN a fault exposed, what a squash erased — depended
 on tainted (secret-derived) state.  Events are raised by the
-:class:`~repro.oracle.tracker.TaintOracle` hooks wired into the core,
-the cache hierarchy and the page-walk path.
+:class:`~repro.oracle.tracker.TaintOracle`, fed by a probe on the
+core and by observers on the cache hierarchy and the page-walk path.
 
 The oracle can see millions of events in one attack cell (a sticky
 control taint flags every subsequent issue in that context), so the

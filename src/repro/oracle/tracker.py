@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cpu.probe import Probe
 from repro.oracle import runtime
 from repro.oracle.events import LeakageEvent, LeakageSummary
 
@@ -153,7 +154,7 @@ class TaintOracle:
             kind=kind, cycle=cycle, context_id=context_id, index=index,
             op=op, reasons=reasons, detail=detail))
 
-    # --- core hooks ---------------------------------------------------
+    # --- pipeline events (forwarded by the core probe _CoreHub) -------
 
     def on_decode(self, context: Any, entry: Any, sources: tuple) -> None:
         """Seed an entry's taint from its resolved source operands."""
@@ -284,7 +285,7 @@ class TaintOracle:
                 trigger_taint = self._addr_tainted(
                     self._context_pcid(context), trigger.addr)
             # A mispredicted tainted branch squashes *before* its
-            # completion hook runs — set control taint here so the
+            # on_complete runs — set control taint here so the
             # squash itself, and everything after, is flagged.
             if trigger_taint and trigger.instr.is_cond_branch:
                 self.control.add(ctx)
@@ -332,41 +333,40 @@ class TaintOracle:
 # ---------------------------------------------------------------------
 
 
-class _CoreHub:
-    """Permanently-wired hook adapter forwarding to the thread's
-    active oracle (a ``None``-check when idle, so warm machines keep
-    the hub across oracle-free runs at negligible cost)."""
+class _CoreHub(Probe):
+    """Permanently-attached probe forwarding to the thread's active
+    oracle (a ``None``-check when idle, so warm machines keep the hub
+    across oracle-free runs at negligible cost)."""
 
-    __slots__ = ("core",)
+    __slots__ = ()
 
-    def __init__(self, core: Any):
-        self.core = core
-
-    def on_decode(self, context: Any, entry: Any, sources: tuple) -> None:
+    def on_decode(self, core: Any, context: Any, entry: Any,
+                  sources: tuple) -> None:
         oracle = runtime.current()
         if oracle is not None:
             oracle.on_decode(context, entry, sources)
 
-    def on_complete(self, context: Any, entry: Any) -> None:
+    def on_complete(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
-        if oracle is not None:
+        if oracle is not None and not entry.faulted:
             oracle.on_complete(context, entry)
 
-    def on_issue(self, context: Any, entry: Any) -> None:
+    def on_issue(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_issue(self.core, context, entry)
+            oracle.on_issue(core, context, entry)
 
-    def on_retire(self, context: Any, entry: Any) -> None:
+    def on_retire(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_retire(self.core, context, entry)
+            oracle.on_retire(core, context, entry)
 
-    def on_squash(self, cycle: int, context: Any, squashed: list,
+    def on_squash(self, core: Any, context: Any, squashed: list,
                   reason: str, trigger: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_squash(cycle, context, squashed, reason, trigger)
+            oracle.on_squash(core.cycle, context, squashed, reason,
+                             trigger)
 
     def on_mem_access(self, paddr: int, is_write: bool, hit_level: int,
                       latency: int) -> None:
@@ -376,18 +376,13 @@ class _CoreHub:
 
 
 def attach_machine(machine: Any) -> None:
-    """Idempotently wire the oracle hub into *machine*'s core and
+    """Idempotently attach the oracle hub to *machine*'s core and
     memory hierarchy (see :func:`repro.oracle.runtime.note_machine`)."""
     core = machine.core
-    if getattr(core, "_oracle_hub", None) is not None:
+    if any(isinstance(probe, _CoreHub) for probe in core.probes):
         return
-    hub = _CoreHub(core)
-    core._oracle_hub = hub
-    core.oracle = hub
-    core.decode_hooks.append(hub.on_decode)
-    core.complete_hooks.append(hub.on_complete)
-    core.issue_hooks.append(hub.on_issue)
-    core.retire_hooks.append(hub.on_retire)
+    hub = _CoreHub()
+    core.attach(hub)
     machine.hierarchy.access_observers.append(hub.on_mem_access)
 
 

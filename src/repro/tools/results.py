@@ -310,8 +310,8 @@ Every matrix column in [`RESULTS.md`](RESULTS.md) is one
 follow-on defense from the replay-attack literature) reduced to
 mechanism-level levers — a machine configuration, a replay budget, a
 victim transform, a detector, or a machine-level
-`DefenseMechanism` installed through `MachineConfig.defense` and the
-core's hook layer (`squash_hooks`, `retire_hooks`, `issue_gates`; see
+`DefenseMechanism` installed through `MachineConfig.defense` as a
+core probe (`on_squash`, `on_retire`, `may_issue`; see
 [`ARCHITECTURE.md`](ARCHITECTURE.md)).  Because every attack runner
 passes `machine=defense.machine` through unchanged, a new mechanism
 reaches all seven attack rows with zero attack-side code.

@@ -4,6 +4,7 @@ a replay engine."""
 
 from repro.cpu.context import ContextState
 from repro.cpu.machine import Machine
+from repro.cpu.probe import IssueCounter
 from repro.cpu.traps import TrapAction, TrapHandler
 from repro.isa.instructions import Opcode
 from repro.isa.program import ProgramBuilder
@@ -79,13 +80,8 @@ def test_younger_instructions_execute_in_walk_shadow():
     """Independent younger code runs (and leaves port residue) while
     the faulting load's walk is outstanding — the attack's window."""
     machine, kernel, process, data, handler = faulting_setup(fix_after=3)
-    issued_divs = []
-
-    def observer(context, entry):
-        if entry.instr.op is Opcode.FDIV:
-            issued_divs.append(machine.cycle)
-
-    machine.core.issue_hooks.append(observer)
+    issues = IssueCounter((Opcode.FDIV,))
+    machine.core.attach(issues)
     program = (ProgramBuilder()
                .li("r1", data)
                .fli("f1", 8.0).fli("f2", 2.0)
@@ -95,18 +91,13 @@ def test_younger_instructions_execute_in_walk_shadow():
     kernel.launch(process, program)
     machine.run(200_000)
     # Speculative executions per fault + the final architectural one.
-    assert len(issued_divs) >= 3
+    assert issues.counts[Opcode.FDIV] >= 3
 
 
 def test_dependent_instructions_do_not_execute():
     machine, kernel, process, data, handler = faulting_setup(fix_after=3)
-    issued_muls = []
-
-    def observer(context, entry):
-        if entry.instr.op is Opcode.MUL:
-            issued_muls.append(machine.cycle)
-
-    machine.core.issue_hooks.append(observer)
+    issues = IssueCounter((Opcode.MUL,))
+    machine.core.attach(issues)
     program = (ProgramBuilder()
                .li("r1", data)
                .load("r2", "r1", 0)
@@ -115,7 +106,7 @@ def test_dependent_instructions_do_not_execute():
     kernel.launch(process, program)
     machine.run(200_000)
     # Only the final, non-faulting execution can issue the mul.
-    assert len(issued_muls) == 1
+    assert issues.counts[Opcode.MUL] == 1
     assert machine.contexts[0].int_regs["r3"] == 4242 * 4242
 
 

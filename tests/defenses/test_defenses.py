@@ -87,6 +87,7 @@ def test_fence_first_window_still_leaks():
     from repro.core.recipes import ReplayAction, ReplayDecision
     from repro.core.replayer import AttackEnvironment, Replayer
     from repro.cpu.config import CoreConfig
+    from repro.cpu.probe import IssueCounter
     from repro.config import MachineConfig
     from repro.isa.instructions import Opcode
     from repro.isa.program import ProgramBuilder
@@ -105,13 +106,8 @@ def test_fence_first_window_still_leaks():
                .fdiv("f2", "f0", "f1")
                .fdiv("f3", "f0", "f1")
                .halt().build())
-    issues = []
-
-    def hook(context, entry):
-        if entry.instr.op is Opcode.FDIV:
-            issues.append(rep.machine.cycle)
-
-    rep.machine.core.issue_hooks.append(hook)
+    issues = IssueCounter((Opcode.FDIV,))
+    rep.machine.core.attach(issues)
     recipe = rep.module.provide_replay_handle(
         process, data,
         attack_function=lambda e: ReplayDecision(
@@ -122,4 +118,4 @@ def test_fence_first_window_still_leaks():
     rep.run_until_victim_done()
     # 2 leaks in window 1 + 2 architectural at the end; the 5 replayed
     # windows after the first flush leak nothing.
-    assert len(issues) == 4
+    assert issues.counts[Opcode.FDIV] == 4

@@ -118,6 +118,7 @@ def test_port_contention_attack_inside_enclave_with_flush():
 
 def test_walk_window_scales_with_tuning():
     """Longer walks -> more speculative instructions per replay."""
+    from repro.cpu.probe import IssueCounter
     from repro.isa.instructions import Opcode
 
     def divs_per_replay(leaf):
@@ -125,14 +126,8 @@ def test_walk_window_scales_with_tuning():
         process = rep.create_victim_process()
         victim = setup_control_flow_victim(process, secret=1,
                                            divisions=2)
-        count = [0]
-
-        def hook(context, entry):
-            if context.context_id == 0 \
-                    and entry.instr.op is Opcode.FDIV:
-                count[0] += 1
-
-        rep.machine.core.issue_hooks.append(hook)
+        issues = IssueCounter((Opcode.FDIV,))
+        rep.machine.core.attach(issues)
         recipe = rep.module.provide_replay_handle(
             process, victim.handle_va + 0x20,
             attack_function=lambda e: ReplayDecision(
@@ -142,7 +137,7 @@ def test_walk_window_scales_with_tuning():
         rep.launch_victim(process, victim.program)
         rep.arm(recipe)
         rep.run_until_victim_done()
-        return count[0]
+        return issues.counts[Opcode.FDIV]
 
     short = divs_per_replay(WalkLocation.L1)
     long = divs_per_replay(WalkLocation.DRAM)

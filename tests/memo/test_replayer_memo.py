@@ -77,6 +77,24 @@ def test_unkeyable_recipe_runs_cold_with_accounting():
     assert memo.counts()["misses"] == 0 and len(memo) == 0
 
 
+def test_steering_probe_runs_cold_with_accounting():
+    from repro.cpu.probe import Probe
+
+    class _LosesEveryRace(Probe):
+        # Overriding on_pte_race marks the probe as steering, even
+        # though this one never changes the outcome.
+        def on_pte_race(self, core, context, entry):
+            return False
+
+    memo = WindowMemo()
+    rep, recipe = _armed_replayer(memo, replay_n_times(6))
+    rep.machine.core.attach(_LosesEveryRace())
+    rep.run_window(recipe)
+    assert recipe.released
+    assert memo.counts()["uncacheable"] == 1
+    assert memo.counts()["misses"] == 0 and len(memo) == 0
+
+
 @pytest.mark.parametrize("secret", [0, 1])
 def test_distinct_victim_secrets_never_share_entries(secret):
     """The digest sees through to victim data: runs that differ only

@@ -5,6 +5,7 @@ the ``FaultPolicy.verify`` cross-check."""
 import pytest
 
 from repro.cpu.machine import Machine
+from repro.cpu.probe import Probe
 from repro.oracle import (
     EVENT_KINDS,
     LeakageEvent,
@@ -100,18 +101,20 @@ def test_secret_seeding_respects_config():
 
 def test_attach_machine_is_idempotent():
     machine = Machine()
-    hooks_before = (len(machine.core.decode_hooks),
-                    len(machine.core.issue_hooks),
-                    len(machine.core.retire_hooks),
-                    len(machine.hierarchy.access_observers))
+    probes_before = machine.core.probes
+    observers_before = len(machine.hierarchy.access_observers)
     attach_machine(machine)
     attach_machine(machine)
-    assert len(machine.core.decode_hooks) == hooks_before[0] + 1
-    assert len(machine.core.issue_hooks) == hooks_before[1] + 1
-    assert len(machine.core.retire_hooks) == hooks_before[2] + 1
+    added = machine.core.probes[len(probes_before):]
+    assert machine.core.probes[:len(probes_before)] == probes_before
+    assert len(added) == 1
+    hub = added[0]
+    # The hub forwards decode/issue/complete/retire and squash events.
+    for event in ("on_decode", "on_issue", "on_complete", "on_retire",
+                  "on_squash"):
+        assert getattr(type(hub), event) is not getattr(Probe, event)
     assert len(machine.hierarchy.access_observers) == \
-        hooks_before[3] + 1
-    assert machine.core.oracle is machine.core._oracle_hub
+        observers_before + 1
 
 
 # --- FaultPolicy.verify hook -----------------------------------------------
