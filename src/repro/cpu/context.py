@@ -29,6 +29,10 @@ class ContextState(enum.Enum):
     HALTED = "halted"      # retired a HALT or ran past program end
 
 
+_RUNNING = ContextState.RUNNING
+_BLOCKED = ContextState.BLOCKED
+
+
 @dataclass
 class TransactionState:
     """State of an in-progress TSX transaction (committed TBEGIN)."""
@@ -71,7 +75,9 @@ class HardwareContext:
         #: Context blocked (kernel trap) until this cycle.
         self.blocked_until = 0
         #: Sequence numbers of in-flight FENCEs (and fenced RDRANDs):
-        #: younger entries may not begin execution.
+        #: younger entries may not begin execution.  Decode appends in
+        #: seq order and retire/squash only remove, so the list stays
+        #: sorted and ``fence_seqs[0]`` is the oldest fence.
         self.fence_seqs: List[int] = []
         #: Dynamic-instance replay detection: indices squashed at least
         #: once since their last retirement.
@@ -121,16 +127,14 @@ class HardwareContext:
         return self.txn is not None
 
     def finished(self) -> bool:
-        """True when the context will never retire anything again."""
-        if self.state is ContextState.HALTED:
-            return True
-        if self.state is ContextState.IDLE:
-            return True
-        if (self.state is ContextState.RUNNING and self.rob.empty
-                and self.program is not None
-                and self.fetch_index >= len(self.program)):
-            return True
-        return False
+        """True when the context will never retire anything again:
+        halted, idle, or running with an empty ROB past the end of its
+        program."""
+        state = self.state
+        if state is _RUNNING:
+            return (self.rob.empty and self.program is not None
+                    and self.fetch_index >= len(self.program))
+        return state is not _BLOCKED
 
     # --- register access ---------------------------------------------------
 
@@ -207,16 +211,14 @@ class HardwareContext:
             return
         self.stats.squashed += len(entries)
         self.stats.squash_events += 1
-        squashed_seqs = {e.seq for e in entries}
-        self.fence_seqs = [s for s in self.fence_seqs
-                           if s not in squashed_seqs]
+        if self.fence_seqs:
+            squashed_seqs = {e.seq for e in entries}
+            self.fence_seqs = [s for s in self.fence_seqs
+                               if s not in squashed_seqs]
         for entry in entries:
             self.replay_candidates.add(entry.index)
-            if entry.instr.is_load and entry.addr is not None:
+            if entry.op_cls == "load" and entry.addr is not None:
                 self.unindex_load(entry)
-
-    def oldest_fence_seq(self) -> Optional[int]:
-        return min(self.fence_seqs) if self.fence_seqs else None
 
     # --- snapshot support ----------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.cpu.probe import EVENTS, Probe, callbacks
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
 from repro.isa.instructions import Instruction, Opcode
+from repro.isa.registers import to_int_word
 from repro.mem.cache import line_of
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.physical import PhysicalMemory
@@ -55,6 +56,36 @@ def _to_signed(value: int) -> int:
 
 def _is_subnormal(value: float) -> bool:
     return value != 0.0 and abs(value) < _MIN_NORMAL and math.isfinite(value)
+
+
+_RUNNING = ContextState.RUNNING
+_BLOCKED = ContextState.BLOCKED
+_READY = EntryState.READY
+_COMPLETED = EntryState.COMPLETED
+
+#: How the front end steers past an instruction (see _decode_facts).
+_NEXT, _JUMP, _BRANCH, _HALT, _FENCE, _RDRAND = range(6)
+
+
+def _decode_facts(program, instr: Instruction) -> tuple:
+    """What decode needs to know about *instr*, fixed for the life of
+    *program*: ``(instr, op class, steering kind, branch target)``."""
+    op = instr.op
+    if op is Opcode.JMP:
+        kind = _JUMP
+    elif instr.is_cond_branch:
+        kind = _BRANCH
+    elif op is Opcode.HALT:
+        kind = _HALT
+    elif op is Opcode.FENCE:
+        kind = _FENCE
+    elif op is Opcode.RDRAND:
+        kind = _RDRAND
+    else:
+        kind = _NEXT
+    target = (program.target_index(instr) if kind in (_JUMP, _BRANCH)
+              else None)
+    return instr, op_class(instr), kind, target
 
 
 class Core:
@@ -83,6 +114,7 @@ class Core:
         #: Attached probes (repro.cpu.probe), in attach order.
         self.probes: Tuple[Probe, ...] = ()
         self._rebuild_probe_callbacks()
+        self._derive()
         # Transaction aborts triggered by cache evictions land here.
         hierarchy.l1.add_evict_observer(self._on_l1_evict)
 
@@ -105,6 +137,22 @@ class Core:
         self.probes = tuple(p for p in self.probes if p is not probe)
         self._rebuild_probe_callbacks()
 
+    #: Attributes derived from the config and the loaded programs.
+    #: Pickles leave them out, so a core pickles (and a snapshot
+    #: digest reaching it hashes) as if they did not exist; unpickling
+    #: rebuilds them.
+    _DERIVED = ("_orders", "_decode_tables")
+
+    def _derive(self):
+        contexts = self.contexts
+        #: SMT round-robin: ``_orders[r]`` lists the contexts starting
+        #: with context ``r``.
+        self._orders = [tuple(contexts[r:] + contexts[:r])
+                        for r in range(max(len(contexts), 1))]
+        #: Per context: ``(program, its _decode_facts table)``, rebuilt
+        #: whenever the context's program changes.
+        self._decode_tables = [(None, ())] * len(contexts)
+
     def _rebuild_probe_callbacks(self):
         # One tuple per event (self._on_fetch ... self._on_pte_race):
         # an event with no listener costs its site one falsy check.
@@ -120,7 +168,13 @@ class Core:
         state["probes"] = ()
         for event in EVENTS:
             state["_" + event] = ()
+        for name in self._DERIVED:
+            del state[name]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._derive()
 
     # ------------------------------------------------------------------
     # per-cycle driver
@@ -129,7 +183,9 @@ class Core:
     def step(self):
         """Advance the core by one cycle."""
         self.ports.new_cycle()
-        self._complete()
+        events = self._events
+        if events and events[0][0] <= self.cycle:
+            self._complete()
         self._process_txn_aborts()
         self._retire()
         self._dispatch()
@@ -138,7 +194,10 @@ class Core:
 
     def busy(self) -> bool:
         """True while any context can still make progress."""
-        return any(not ctx.finished() for ctx in self.contexts)
+        for context in self.contexts:
+            if not context.finished():
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # quiescence fast-forward
@@ -281,7 +340,7 @@ class Core:
             entry.complete_cycle = self.cycle
             if entry.mispredicted:
                 self._handle_mispredict(entry)
-            if entry.faulted and entry.instr.is_load \
+            if entry.faulted and entry.op_cls == "load" \
                     and self._on_pte_race:
                 self._try_pte_race(entry)
             if self._on_complete:
@@ -371,38 +430,40 @@ class Core:
     # ------------------------------------------------------------------
 
     def _retire(self):
+        cycle = self.cycle
         for context in self.contexts:
-            if context.state is ContextState.BLOCKED:
-                if self.cycle >= context.blocked_until:
-                    context.state = ContextState.RUNNING
-                else:
+            state = context.state
+            if state is _BLOCKED:
+                if cycle < context.blocked_until:
                     continue
-            if context.state is not ContextState.RUNNING:
+                context.state = _RUNNING
+            elif state is not _RUNNING:
                 continue
             if context.pending_interrupt is not None:
                 self._take_interrupt(context)
                 continue
+            rob = context.rob
             for _ in range(self.config.retire_width):
-                head = context.rob.head
-                if head is None or not head.completed:
+                head = rob.head
+                if head is None or head.state is not _COMPLETED:
                     break
-                if head.faulted:
+                if head.fault is not None:
                     self._fault_at_head(context, head)
                     break
-                context.rob.pop_head()
+                rob.pop_head()
                 self._apply_retire(context, head)
-                if context.state is not ContextState.RUNNING:
+                if context.state is not _RUNNING:
                     break
 
     def _apply_retire(self, context: HardwareContext, entry: ROBEntry):
         instr = entry.instr
         op = instr.op
-        dest = instr.dest()
+        dest = instr.rd
         if dest is not None and entry.value is not None:
             context.write_reg(dest, entry.value)
         if context.rename.get(dest) is entry:
             del context.rename[dest]
-        if instr.is_store:
+        if entry.op_cls == "store":
             self._drain_store(context, entry)
         elif op is Opcode.HALT:
             context.state = ContextState.HALTED
@@ -414,9 +475,10 @@ class Core:
             # Abort immediately: a same-cycle TEND must not win.
             if context.in_transaction:
                 self._abort_transaction(context, "explicit-abort")
-        if entry.seq in context.fence_seqs:
-            context.fence_seqs.remove(entry.seq)
-        if instr.is_load and entry.addr is not None:
+        fences = context.fence_seqs
+        if fences and fences[0] == entry.seq:
+            del fences[0]  # retire is in order: only the oldest retires
+        if entry.op_cls == "load" and entry.addr is not None:
             context.unindex_load(entry)
         context.replay_candidates.discard(entry.index)
         context.stats.retired += 1
@@ -510,51 +572,68 @@ class Core:
     # ------------------------------------------------------------------
 
     def _dispatch(self):
+        """Issue ready entries, SMT round-robin, oldest first.
+
+        A context's scan stops at its oldest in-flight fence: nothing
+        younger may start, so those entries are not even offered to
+        the probes.  Only an issue can move that fence (an issued
+        store may squash it), so it is re-read after each issue.  The
+        ready queue is rebuilt only when something issued: only an
+        issue can squash during dispatch, and every other squash drops
+        its entries from the queue at once, so a queue nothing issued
+        from holds no squashed entry."""
         budget = self.config.issue_width
-        contexts = self.contexts
-        order = list(range(len(contexts)))
-        rotate = self.cycle % max(len(order), 1)
-        order = order[rotate:] + order[:rotate]
-        for context_id in order:
+        orders = self._orders
+        for context in orders[self.cycle % len(orders)]:
             if budget <= 0:
                 break
-            context = contexts[context_id]
             if not context.ready:
                 continue
-            still_ready = []
-            for entry in context.sorted_ready():
+            ready = context.sorted_ready()
+            fences = context.fence_seqs
+            fence = fences[0] if fences else None
+            issued = False
+            for entry in ready:
                 if entry.squashed:
-                    continue
-                if budget <= 0 or not self._try_execute(context, entry):
-                    still_ready.append(entry)
-                else:
+                    continue  # squashed mid-scan by an issued store
+                if budget <= 0 or (fence is not None and entry.seq > fence):
+                    break
+                if self._try_execute(context, entry, fence):
                     budget -= 1
-            context.ready = still_ready
+                    issued = True
+                    fences = context.fence_seqs
+                    fence = fences[0] if fences else None
+            if issued:
+                context.ready = [entry for entry in ready
+                                 if entry.state is _READY
+                                 and not entry.squashed]
 
-    def _try_execute(self, context: HardwareContext,
-                     entry: ROBEntry) -> bool:
-        """Attempt to begin execution; return True when issued."""
-        fence_seq = context.oldest_fence_seq()
-        if fence_seq is not None:
-            if entry.seq > fence_seq:
-                return False  # serialised behind a fence
-            if entry.seq == fence_seq and not \
-                    context.rob.all_older_completed(entry.seq):
-                return False
+    def _try_execute(self, context: HardwareContext, entry: ROBEntry,
+                     fence: Optional[int]) -> bool:
+        """Attempt to begin execution of *entry*, which is no younger
+        than *fence* (the oldest in-flight fence, if any); return True
+        when issued.  The probes are asked before a port is sought, and
+        the op is priced only once a port is free."""
+        if entry.seq == fence and not \
+                context.rob.all_older_completed(fence):
+            return False
         for may_issue in self._may_issue:
             if not may_issue(self, context, entry):
                 return False  # held back by a probe (e.g. a defense)
-        if entry.instr.is_load:
+        op_cls = entry.op_cls
+        if op_cls == "load":
             if not self._execute_load(context, entry):
                 return False
             context.index_inflight_load(entry)
         else:
-            latency = self._latency_for(entry)
-            port = self.ports.try_issue(self.cycle, entry.op_cls, latency)
+            cycle = self.cycle
+            port = self.ports.find(cycle, op_cls)
             if port is None:
                 return False
+            latency = self._latency_for(entry)
+            port.issue(cycle, op_cls, latency)
             entry.port_name = port.name
-            if entry.instr.is_store:
+            if op_cls == "store":
                 self._execute_store(context, entry, latency)
             else:
                 self._execute_alu(context, entry, latency)
@@ -591,7 +670,7 @@ class Core:
             return cfg.latency_of("tsx")
         if op is Opcode.FENCE:
             return cfg.latency_of("fence")
-        if entry.instr.is_store:
+        if entry.op_cls == "store":
             return cfg.latency_of("store")
         return cfg.latency_of(entry.op_cls)
 
@@ -741,10 +820,10 @@ class Core:
                     forwarded = True
                 else:
                     return False  # partial overlap: retry after retire
-        port = self.ports.try_issue(self.cycle, "load",
-                                    self.config.latency_of("alu"))
+        port = self.ports.find(self.cycle, "load")
         if port is None:
             return False
+        port.issue(self.cycle, "load", self.config.latency_of("alu"))
         entry.port_name = port.name
         if forwarded:
             entry.value = self._coerce_load_value(instr, forward_value)
@@ -777,9 +856,7 @@ class Core:
     def _coerce_load_value(instr: Instruction, value):
         if instr.op is Opcode.FLOAD:
             return float(value)
-        if isinstance(value, float):
-            return int(value) & MASK64
-        return value & MASK64
+        return to_int_word(value)
 
     def _execute_store(self, context: HardwareContext, entry: ROBEntry,
                        latency: int):
@@ -832,35 +909,41 @@ class Core:
 
     def _fetch(self):
         budget = self.config.fetch_width
-        contexts = self.contexts
         cycle = self.cycle
-        order = list(range(len(contexts)))
-        rotate = (cycle + 1) % max(len(order), 1)
-        order = order[rotate:] + order[:rotate]
-        for context_id in order:
+        orders = self._orders
+        for context in orders[(cycle + 1) % len(orders)]:
             if budget <= 0:
                 break
-            context = contexts[context_id]
-            if context.state is not ContextState.RUNNING:
+            if (context.state is not _RUNNING or context.program is None
+                    or cycle < context.fetch_stall_until):
                 continue
-            if cycle < context.fetch_stall_until:
-                continue
-            while (budget > 0 and not context.rob.full
-                   and context.program is not None
-                   and context.fetch_index < len(context.program)):
-                stop = self._decode_one(context)
+            table = self._decode_table(context)
+            rob = context.rob
+            while (budget > 0 and not rob.full
+                   and context.fetch_index < len(table)):
+                stop = self._decode_one(context, table)
                 budget -= 1
                 if stop:
                     break
 
-    def _decode_one(self, context: HardwareContext) -> bool:
+    def _decode_table(self, context: HardwareContext) -> tuple:
+        """The :func:`_decode_facts` of every instruction of
+        *context*'s program, built once per program."""
+        program = context.program
+        cached, table = self._decode_tables[context.context_id]
+        if cached is not program:
+            table = tuple(_decode_facts(program, instr)
+                          for instr in program.instructions)
+            self._decode_tables[context.context_id] = (program, table)
+        return table
+
+    def _decode_one(self, context: HardwareContext, table: tuple) -> bool:
         """Decode one instruction into the ROB.  Returns True when the
         front end should stop fetching this context this cycle."""
-        program = context.program
         index = context.fetch_index
-        instr = program[index]
+        instr, op_cls, kind, target = table[index]
         entry = ROBEntry(context.next_seq(), context.context_id, index,
-                         instr, op_class(instr))
+                         instr, op_cls)
         if index in context.replay_candidates:
             entry.is_replay = True
             context.stats.replays += 1
@@ -892,19 +975,23 @@ class Core:
             src_tuple = tuple(sources)
             for callback in on_decode:
                 callback(self, context, entry, src_tuple)
-        dest = instr.dest()
+        dest = instr.rd
         if dest is not None:
             context.rename[dest] = entry
-        # Control flow steering.
+        # Control flow steering.  Fences, fenced RDRAND and the
+        # fence-on-flush defense also serialise: they gate younger
+        # execution until this entry retires.
         stop = False
-        if instr.op is Opcode.JMP:
-            context.fetch_index = program.target_index(instr)
-        elif instr.is_cond_branch:
+        serialize = False
+        if kind == _NEXT:
+            context.fetch_index = index + 1
+        elif kind == _BRANCH:
             predicted = self.predictor.predict(index)
             entry.predicted_taken = predicted
-            context.fetch_index = (program.target_index(instr) if predicted
-                                   else index + 1)
-        elif instr.op is Opcode.HALT:
+            context.fetch_index = target if predicted else index + 1
+        elif kind == _JUMP:
+            context.fetch_index = target
+        elif kind == _HALT:
             context.fetch_index = index + 1
             # Stop fetching past the HALT; a squash/redirect resets the
             # stall if the HALT turns out to be on a wrong path.
@@ -912,11 +999,7 @@ class Core:
             stop = True
         else:
             context.fetch_index = index + 1
-        # Serialisation: fences, fenced RDRAND, and the fence-on-flush
-        # defense all gate younger execution until this entry retires.
-        serialize = instr.op is Opcode.FENCE
-        if instr.op is Opcode.RDRAND and self.config.rdrand_fenced:
-            serialize = True
+            serialize = kind == _FENCE or self.config.rdrand_fenced
         if context.serialize_next_fetch:
             serialize = True
             context.serialize_next_fetch = False

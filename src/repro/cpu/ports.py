@@ -34,29 +34,12 @@ class Port:
         self._issued_this_cycle = False
         self.stats = PortStats()
 
-    def accepts(self, op_cls: str) -> bool:
-        return op_cls in self.classes
-
-    def available(self, now: int, op_cls: str) -> bool:
-        """Can *op_cls* issue here at cycle *now*?"""
-        if not self.accepts(op_cls):
-            return False
-        if self._issued_this_cycle:
-            return False
-        if now < self.busy_until:
-            self.stats.contended += 1
-            return False
-        return True
-
     def issue(self, now: int, op_cls: str, latency: int):
         """Commit an issue; non-pipelined classes hold the port."""
         self._issued_this_cycle = True
         self.stats.issued += 1
         if op_cls in self._non_pipelined:
             self.busy_until = now + latency
-
-    def new_cycle(self):
-        self._issued_this_cycle = False
 
     def capture(self) -> tuple:
         return (self.busy_until, self._issued_this_cycle,
@@ -83,16 +66,24 @@ class PortSet:
 
     def new_cycle(self):
         for port in self.ports:
-            port.new_cycle()
+            port._issued_this_cycle = False
 
-    def try_issue(self, now: int, op_cls: str, latency: int
-                  ) -> Optional[Port]:
-        """Issue an op of *op_cls* on the first available port, or
-        return ``None`` when every candidate port is busy."""
+    def find(self, now: int, op_cls: str) -> Optional[Port]:
+        """The first port that can take an op of *op_cls* at cycle
+        *now*, or ``None``.  Finding a port does not take it: the
+        caller prices the op and commits with :meth:`Port.issue`.
+
+        Each candidate port still held by a non-pipelined op counts
+        one contended attempt, so a port passed over on the way to a
+        free one counts too.  A port that already issued this cycle
+        counts nothing."""
         for port in self._by_class.get(op_cls, ()):
-            if port.available(now, op_cls):
-                port.issue(now, op_cls, latency)
-                return port
+            if port._issued_this_cycle:
+                continue
+            if now < port.busy_until:
+                port.stats.contended += 1
+                continue
+            return port
         return None
 
     def is_non_pipelined(self, op_cls: str) -> bool:
@@ -107,7 +98,10 @@ class PortSet:
         raise KeyError(f"no port named {name!r}")
 
     def contention_report(self) -> Dict[str, Tuple[int, int]]:
-        """``{port: (issued, contended_cycles)}`` for diagnostics."""
+        """``{port: (issued, contended)}`` for diagnostics, where
+        *contended* counts issue attempts that found the port held by
+        a non-pipelined op — not cycles: two ready divides in one
+        cycle count 2."""
         return {p.name: (p.stats.issued, p.stats.contended)
                 for p in self.ports}
 

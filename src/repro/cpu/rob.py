@@ -46,6 +46,9 @@ class ROBEntry:
         #: Program instruction index (our PC).
         self.index = index
         self.instr = instr
+        #: Execution-port class (repro.cpu.config.op_class).  It is
+        #: ``"load"``/``"store"`` exactly for memory ops, so the
+        #: core tests it instead of ``instr.is_load``/``is_store``.
         self.op_cls = op_cls
         self.state = EntryState.DISPATCHED
         #: Number of unresolved source operands.

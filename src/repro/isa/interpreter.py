@@ -150,9 +150,7 @@ class Interpreter:
             if op is Opcode.FLOAD:
                 state.write(instr.rd, float(value))
             else:
-                state.write(instr.rd, int(value) & MASK64
-                            if not isinstance(value, float)
-                            else int(value) & MASK64)
+                state.write(instr.rd, registers.to_int_word(value))
         elif op in (Opcode.STORE, Opcode.FSTORE):
             va = (a + instr.imm) & MASK64
             state.memory[va] = b

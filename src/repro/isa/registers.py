@@ -13,6 +13,8 @@ instruction constructors and the core all agree on what a register is.
 
 from __future__ import annotations
 
+import math
+
 NUM_INT_REGS = 16
 NUM_FP_REGS = 16
 
@@ -68,3 +70,20 @@ def fresh_int_regfile() -> dict:
 def fresh_fp_regfile() -> dict:
     """Return a new floating-point register file, all registers zeroed."""
     return {name: 0.0 for name in FP_REGS}
+
+
+#: What a non-finite float reads as in an integer register: x86's
+#: "integer indefinite", the result ``cvttsd2si`` gives for NaN and
+#: infinities.
+INTEGER_INDEFINITE = 1 << 63
+
+
+def to_int_word(value) -> int:
+    """The 64-bit integer an integer load reads from memory word
+    *value*.  Ints wrap to 64 bits, finite floats truncate toward zero
+    first, and NaN or an infinity reads as :data:`INTEGER_INDEFINITE`."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return INTEGER_INDEFINITE
+        value = int(value)
+    return value & ((1 << 64) - 1)

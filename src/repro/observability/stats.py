@@ -125,7 +125,9 @@ class WalkerStats(StatGroup):
 
 
 class PortStats(StatGroup):
-    """Per-execution-port counters."""
+    """Per-execution-port counters: ``issued`` ops, and ``contended``
+    issue attempts that found the port held by a non-pipelined op (an
+    attempt count, not a cycle count)."""
 
     FIELDS = ("issued", "contended")
     __slots__ = FIELDS

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from repro.cpu.config import CoreConfig, default_latencies, op_class
@@ -97,3 +99,23 @@ def test_run_context_to_completion():
         ProgramBuilder().li("r1", 9).halt().build())
     machine.run_context_to_completion(0)
     assert machine.contexts[0].finished()
+
+
+def test_pickled_machine_resumes_like_the_original():
+    """The core's derived caches (decode tables, SMT orders) are left
+    out of pickles and rebuilt on load."""
+    program = (ProgramBuilder().li("r1", 0).li("r2", 50)
+               .label("loop").addi("r1", "r1", 1).bne("r1", "r2", "loop")
+               .halt().build())
+    machine = Machine()
+    machine.contexts[0].load_program(program)
+    machine.contexts[1].load_program(program)
+    machine.run(30)
+    copy = pickle.loads(pickle.dumps(machine))
+    assert "_decode_tables" not in machine.core.__getstate__()
+    machine.run(10_000)
+    copy.run(10_000)
+    assert copy.cycle == machine.cycle
+    for ours, theirs in zip(copy.contexts, machine.contexts):
+        assert ours.int_regs == theirs.int_regs
+        assert ours.stats.as_dict() == theirs.stats.as_dict()
