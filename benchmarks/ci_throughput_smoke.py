@@ -1,10 +1,12 @@
 """CI throughput smoke check.
 
 Measures simulated-cycles/host-second on the replay-attack workload
-(fast-forward on, the configuration experiments actually use) and on
-the single-context spin loop, then compares against the committed
-baseline in ``benchmarks/results/simulator_throughput.json``.  Exits
-non-zero when either rate regresses by more than the allowed factor
+twice — fast-forward on, and naive stepping (the default path every
+matrix cell takes, where empty cycles are quiet ``Core.step`` calls) —
+and on the spin loop with one and with two SMT contexts, then compares
+against the committed baseline in
+``benchmarks/results/simulator_throughput.json``.  Exits
+non-zero when any rate regresses by more than the allowed factor
 (default 2x — CI runners are noisy; the gate is for cliffs, not
 percent drift).
 
@@ -61,7 +63,9 @@ from throughput_workloads import run_replay_attack, run_spin, timed  # noqa: E40
 CHECKS = {
     "replay_attack_fast_forward":
         lambda: timed(run_replay_attack, True, 200),
+    "replay_attack_naive": lambda: timed(run_replay_attack, False, 200),
     "single_context_spin": lambda: timed(run_spin, 5000, 1),
+    "smt_spin": lambda: timed(run_spin, 5000, 2),
 }
 
 

@@ -137,11 +137,11 @@ class Core:
         self.probes = tuple(p for p in self.probes if p is not probe)
         self._rebuild_probe_callbacks()
 
-    #: Attributes derived from the config and the loaded programs.
-    #: Pickles leave them out, so a core pickles (and a snapshot
-    #: digest reaching it hashes) as if they did not exist; unpickling
-    #: rebuilds them.
-    _DERIVED = ("_orders", "_decode_tables")
+    #: Attributes derived from the config, the loaded programs and the
+    #: ports.  Pickles leave them out, so a core pickles (and a
+    #: snapshot digest reaching it hashes) as if they did not exist;
+    #: unpickling rebuilds them.
+    _DERIVED = ("_orders", "_decode_tables", "_ports_dirty")
 
     def _derive(self):
         contexts = self.contexts
@@ -152,6 +152,10 @@ class Core:
         #: Per context: ``(program, its _decode_facts table)``, rebuilt
         #: whenever the context's program changes.
         self._decode_tables = [(None, ())] * len(contexts)
+        #: False only when no port can hold an issue flag: set by every
+        #: full step, cleared with the flags by an empty cycle.  Unknown
+        #: port state (a fresh or restored core) counts as dirty.
+        self._ports_dirty = True
 
     def _rebuild_probe_callbacks(self):
         # One tuple per event (self._on_fetch ... self._on_pte_race):
@@ -181,8 +185,19 @@ class Core:
     # ------------------------------------------------------------------
 
     def step(self):
-        """Advance the core by one cycle."""
+        """Advance the core by one cycle.
+
+        A quiet cycle (:meth:`_quiet`) runs no stage: it only has the
+        effect every empty cycle has (:meth:`_idle_to`)."""
+        if self._quiet():
+            # _idle_to(self.cycle + 1), inlined: most cycles take this.
+            if self._ports_dirty:
+                self.ports.new_cycle()
+                self._ports_dirty = False
+            self.cycle += 1
+            return
         self.ports.new_cycle()
+        self._ports_dirty = True
         events = self._events
         if events and events[0][0] <= self.cycle:
             self._complete()
@@ -193,70 +208,96 @@ class Core:
         self.cycle += 1
 
     def busy(self) -> bool:
-        """True while any context can still make progress."""
+        """True while any context can still make progress (is not
+        :meth:`~HardwareContext.finished`)."""
         for context in self.contexts:
-            if not context.finished():
+            state = context.state
+            if state is _BLOCKED or (state is _RUNNING
+                                     and not context.finished()):
                 return True
         return False
 
     # ------------------------------------------------------------------
-    # quiescence fast-forward
+    # quiescence: the quiet step and the fast-forward jump
     # ------------------------------------------------------------------
 
-    def next_work_cycle(self) -> Optional[int]:
-        """The next cycle at which any pipeline stage can act, assuming
-        the core is quiescent right now.
+    def _quiet(self) -> bool:
+        """True when no stage can act, or change any state, this cycle.
 
-        Returns ``None`` when some stage may act *this* cycle (or when
-        nothing is ever going to happen again) — callers must then step
-        normally.  Otherwise every cycle strictly before the returned
-        one is provably an empty ``step()``: the only pending work sits
-        in the event heap or behind a known stall/block cycle.
-        """
+        Each clause mirrors the stage it rules out: completion (no
+        event due), the TSX abort pass (nothing pending, which it would
+        reset), dispatch (every ready queue empty, on every context —
+        dispatch scans non-running contexts too, and sorting a queue
+        writes state), retire (no blocked context due to wake, no
+        pending interrupt, no completed ROB head) and fetch (no room,
+        no program text left, or a stalled front end).  Evaluated fresh
+        every cycle: drivers may change a context between steps."""
         cycle = self.cycle
+        events = self._events
+        if events and events[0][0] <= cycle:
+            return False
+        for context in self.contexts:
+            if context.ready or context.txn_abort_pending is not None:
+                return False
+            state = context.state
+            if state is _RUNNING:
+                if context.pending_interrupt is not None:
+                    return False
+                rob = context.rob
+                head = rob.head
+                if head is not None and head.state is _COMPLETED:
+                    return False
+                program = context.program
+                if (program is not None
+                        and cycle >= context.fetch_stall_until
+                        and not rob.full
+                        and context.fetch_index < len(program)):
+                    return False
+            elif state is _BLOCKED and cycle >= context.blocked_until:
+                return False
+        return True
+
+    def _idle_to(self, target: int):
+        """Advance the clock to *target* across empty cycles.  The one
+        thing an empty cycle changes is the port issue flags, which
+        the first of them clears."""
+        if self._ports_dirty:
+            self.ports.new_cycle()
+            self._ports_dirty = False
+        self.cycle = target
+
+    def next_work_cycle(self) -> Optional[int]:
+        """The next cycle at which any pipeline stage can act.
+
+        Returns ``None`` when the current cycle is not quiet (some
+        stage may act now) or when nothing is ever going to happen
+        again — callers must then step normally.  Otherwise every cycle
+        strictly before the returned one is quiet: the only pending
+        work sits in the event heap or behind a known stall/block
+        cycle.
+        """
+        if not self._quiet():
+            return None
         deadlines = []
         if self._events:
-            due = self._events[0][0]
-            if due <= cycle:
-                return None
-            deadlines.append(due)
+            deadlines.append(self._events[0][0])
         for context in self.contexts:
             state = context.state
-            if state is ContextState.BLOCKED:
-                if context.blocked_until <= cycle:
-                    return None
+            if state is _BLOCKED:
                 deadlines.append(context.blocked_until)
-                continue
-            if state is not ContextState.RUNNING:
-                continue  # IDLE/HALTED contexts never act again
-            if (context.pending_interrupt is not None
-                    or context.txn_abort_pending):
-                return None
-            head = context.rob.head
-            if head is not None and head.completed:
-                return None  # retire (or fault/trap) can act now
-            for entry in context.ready:
-                if not entry.squashed:
-                    return None  # dispatch may issue this cycle
-            # Fetch: possible at all, and if so, when?
-            if (context.program is not None and not context.rob.full
-                    and context.fetch_index < len(context.program)):
-                stall = context.fetch_stall_until
-                if stall <= cycle:
-                    return None
-                if stall != math.inf:
-                    deadlines.append(stall)
-        if not deadlines:
-            return None
-        target = min(deadlines)
-        return target if target > cycle else None
+            elif (state is _RUNNING and context.program is not None
+                    and not context.rob.full
+                    and context.fetch_index < len(context.program)
+                    and context.fetch_stall_until != math.inf):
+                deadlines.append(context.fetch_stall_until)
+        return min(deadlines) if deadlines else None
 
     def fast_forward(self, limit: Optional[int] = None) -> int:
         """Jump the clock to the next cycle where work exists (clamped
         to *limit*).  Returns the number of empty cycles skipped.  The
-        skipped cycles are exactly the no-op ``step()`` calls naive
-        stepping would have performed, so all observable state —
-        cycle counts, stats, architectural state — is bit-identical."""
+        jump has exactly the effect of the quiet ``step()`` calls naive
+        stepping would have made, so all state — cycle counts, stats,
+        port flags, architectural state — is bit-identical."""
         target = self.next_work_cycle()
         if target is None:
             return 0
@@ -265,7 +306,7 @@ class Core:
         skipped = target - self.cycle
         if skipped <= 0:
             return 0
-        self.cycle = target
+        self._idle_to(target)
         return skipped
 
     # ------------------------------------------------------------------
@@ -310,6 +351,7 @@ class Core:
         self._jitter.setstate(jitter)
         self.predictor.restore(predictor)
         self.ports.restore(ports)
+        self._ports_dirty = True
         for context, context_state in zip(self.contexts, contexts):
             context.restore(context_state, memo)
 

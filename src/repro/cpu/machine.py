@@ -160,38 +160,29 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        With ``core.config.fast_forward`` set, provably-empty cycles
-        are skipped in one jump; *until* predicates must therefore
-        depend on simulation state (which cannot change during skipped
-        cycles), not on raw cycle numbers — use :meth:`run_until_cycle`
-        to stop at an exact cycle.
+        Every cycle is one ``Core.step`` call; a quiet cycle (no stage
+        can act) costs the core only a check.  With
+        ``core.config.fast_forward`` set, runs of quiet cycles are
+        instead skipped in one jump, so *until* is not asked on the
+        skipped cycles: it must depend on simulation state (which
+        cannot change during them), not on raw cycle numbers — use
+        :meth:`run_until_cycle` to stop at an exact cycle.
         """
-        start = self.cycle
         core = self.core
+        start = core.cycle
         limit = start + max_cycles
         fast = core.config.fast_forward
-        if until is None:
-            # Common case: no per-cycle predicate call in the loop.
-            while self.cycle < limit:
-                if not core.busy():
+        while core.cycle < limit:
+            if until is not None and until(self):
+                break
+            if not core.busy():
+                break
+            if fast:
+                core.fast_forward(limit)
+                if core.cycle >= limit:
                     break
-                if fast:
-                    core.fast_forward(limit)
-                    if self.cycle >= limit:
-                        break
-                core.step()
-        else:
-            while self.cycle < limit:
-                if until(self):
-                    break
-                if not core.busy():
-                    break
-                if fast:
-                    core.fast_forward(limit)
-                    if self.cycle >= limit:
-                        break
-                core.step()
-        return self.cycle - start
+            core.step()
+        return core.cycle - start
 
     def run_until_cycle(self, cycle: int,
                         until: Optional[Callable[["Machine"], bool]]

@@ -14,10 +14,16 @@ claim on three workload shapes:
   behind a non-present page, where fast-forward does nearly all the
   work;
 * unit cases for the quiescence predicate (`next_work_cycle`) and the
-  jump clamp.
+  jump clamp, and a pinned case where a clamped jump lands just after
+  an issuing cycle.
+
+Every comparison includes a digest of ``Machine.capture()``, so state
+that no report shows (port issue flags, ready queues, RNG streams)
+must match too.
 """
 
-from dataclasses import asdict
+import hashlib
+from dataclasses import asdict, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +36,7 @@ from repro.cpu.machine import Machine
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
+from repro.snapshot.digest import canonical_dump
 from repro.victims.control_flow import setup_control_flow_victim
 
 _DATA_REGS = [f"r{i}" for i in range(2, 10)]
@@ -90,11 +97,13 @@ def _random_program(draw):
 
 
 def _snapshot(machine: Machine):
-    """Cycle count, architectural state, and the full stats report."""
+    """Cycle count, architectural state, the full stats report, and a
+    digest of every captured field of the platform."""
     report = asdict(machine_report(machine))
     regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
             for ctx in machine.contexts]
-    return machine.cycle, regs, report
+    digest = hashlib.sha256(canonical_dump(machine.capture())).hexdigest()
+    return machine.cycle, regs, report, digest
 
 
 def _run_programs(programs, fast_forward: bool):
@@ -148,7 +157,13 @@ def _run_replay_attack(fast_forward: bool, replays: int = 40):
     report = asdict(machine_report(rep.machine, rep.kernel,
                                    rep.module))
     regs = dict(rep.machine.contexts[0].int_regs)
-    return rep.machine.cycle, recipe.replays, regs, report
+    # The victim's enclave reaches the live machine, config included,
+    # from the capture: put both runs under one config to compare state.
+    machine = rep.machine
+    machine.core.config = replace(machine.core.config, fast_forward=False)
+    machine.config = replace(machine.config, core=machine.core.config)
+    digest = hashlib.sha256(canonical_dump(machine.capture())).hexdigest()
+    return machine.cycle, recipe.replays, regs, report, digest
 
 
 def test_fast_forward_matches_naive_on_replay_attack():
@@ -206,3 +221,24 @@ def test_run_until_cycle_exact_under_fast_forward():
     machine.contexts[0].state = ContextState.BLOCKED
     machine.run_until_cycle(finish + 777)
     assert machine.cycle == finish + 777
+
+
+def test_clamped_jump_after_issue_matches_naive_snapshot():
+    """A jump clamped by run_until_cycle can end right after a cycle
+    that issued.  Naive stepping clears the port issue flags on the
+    first empty cycle; the jump must too, or Machine.capture() (and
+    every snapshot digest) differs from naive stepping."""
+    program = (ProgramBuilder("div-chain")
+               .li("r2", 7).li("r3", 3)
+               .div("r4", "r2", "r3")
+               .add("r5", "r4", "r4")
+               .add("r6", "r5", "r5")
+               .build())
+    for cycle in range(1, 40):
+        snapshots = []
+        for fast_forward in (False, True):
+            machine = _machine(fast_forward)
+            machine.contexts[0].load_program(program)
+            machine.run_until_cycle(cycle)
+            snapshots.append(_snapshot(machine))
+        assert snapshots[0] == snapshots[1], f"diverged at cycle {cycle}"
