@@ -25,6 +25,11 @@ and the measured overhead is written to
 visible across PRs.  Only the off-vs-baseline comparison gates;
 tracing-on cost is reported, not gated.
 
+A machine lifecycle line reports the median cost of ``Machine()``,
+``capture()`` and ``restore()`` on the default configuration — what
+a fleet pays per lane before it simulates anything.  Reported, not
+gated.
+
 A memoization check covers both levels of the ``repro.memo`` compute
 cache: a replay-window served from :class:`~repro.memo.WindowMemo`
 and an evaluation matrix served from a warm
@@ -172,6 +177,32 @@ def tracing_overhead_check() -> bool:
         print(f"tracing overhead: OK ({slowdown:.2f}x slowdown with "
               f"{tracer.total_emitted} events; results bit-identical)")
     return ok
+
+
+def machine_lifecycle_report(repeats: int = 25):
+    """Print the median microseconds of building, capturing and
+    restoring a default machine (reported, not gated)."""
+    import statistics
+    import time
+
+    from repro.cpu.machine import Machine
+
+    def median_us(fn) -> float:
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+        return statistics.median(samples) * 1e6
+
+    machine = Machine()
+    snapshot = machine.capture()
+    build = median_us(Machine)
+    capture = median_us(machine.capture)
+    restore = median_us(lambda: machine.restore(snapshot))
+    print(f"machine lifecycle: Machine() {build:.0f} us, capture() "
+          f"{capture:.0f} us, restore() {restore:.0f} us (default "
+          f"config; reported, not gated)")
 
 
 def memoization_check(min_window_speedup: float = 2.0,
@@ -397,6 +428,7 @@ def main(argv=None) -> int:
 
     failed = not snapshot_roundtrip_smoke()
     failed = not tracing_overhead_check() or failed
+    machine_lifecycle_report()
     failed = not memoization_check() or failed
     failed = not batch_throughput_check() or failed
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.batch.lanes import make_ops
+from repro.batch.lanes import _all_of_type, _all_u64, make_ops
 from repro.batch.plan import FleetPlan
 from repro.cpu.core import MASK64, Core, _is_subnormal, _to_signed
 from repro.cpu.machine import Machine
@@ -426,13 +426,20 @@ class MachineFleet(Probe):
             src = tainted[1] if tainted is not None else None
         if src is None:
             return
-        vec = []
-        for lane in range(self.n):
-            try:
-                vec.append(Core._coerce_load_value(instr, src[lane]))
-            except Exception:
-                self._diverge(lane, "compute-error")
-                vec.append(entry.value)
+        # Fast path: the load coercion (float(), or the 64-bit mask)
+        # leaves every lane unchanged.
+        if len(src) == self.n and (
+                _all_of_type(src, float) if instr.op is Opcode.FLOAD
+                else _all_u64(src)):
+            vec = src
+        else:
+            vec = []
+            for lane in range(self.n):
+                try:
+                    vec.append(Core._coerce_load_value(instr, src[lane]))
+                except Exception:
+                    self._diverge(lane, "compute-error")
+                    vec.append(entry.value)
         if not _invariant(vec):
             self.val_taint[(context_id, entry.seq)] = vec
 
@@ -516,6 +523,8 @@ class MachineFleet(Probe):
         """Apply write_reg's int()/float() coercion per lane, falling
         back to the leader's (already coerced) register value for
         lanes whose element cannot coerce."""
+        if len(vec) == self.n and _all_of_type(vec, cast):
+            return vec  # cast() is the identity on every lane
         out = []
         for lane in range(self.n):
             try:

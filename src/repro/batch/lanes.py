@@ -48,6 +48,19 @@ _U64_IMMOPS = frozenset({"addi", "subi", "andi", "ori", "xori",
 _IMM_ANY = frozenset({"addi", "subi", "shli", "shri"})
 
 
+def _all_of_type(vec: List, cls: type) -> bool:
+    """True when every element of *vec* has exactly type *cls* (a
+    bool is not an int here), checked at C speed."""
+    return set(map(type, vec)) == {cls}
+
+
+def _all_u64(vec: List) -> bool:
+    """True when every element of *vec* is a plain int in
+    ``[0, MASK64]``: the values a 64-bit mask leaves unchanged."""
+    return (_all_of_type(vec, int)
+            and min(vec) >= 0 and max(vec) <= MASK64)
+
+
 class PurePythonOps:
     """Elementwise lane math via the scalar core's own expressions."""
 
@@ -122,9 +135,8 @@ class NumpyOps(PurePythonOps):
         """Vector as a uint64 array, or None when any element is not
         a plain in-range int (bools, bignums, negatives, floats all
         disqualify — the pure path owns those)."""
-        for x in vec:
-            if type(x) is not int or x < 0 or x > MASK64:
-                return None
+        if vec and not _all_u64(vec):
+            return None
         return self._np.array(vec, dtype=self._np.uint64)
 
     def binop(self, op: str, a: List, b: List) -> List:

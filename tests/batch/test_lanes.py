@@ -12,6 +12,8 @@ from repro.batch.lanes import (
     MASK64,
     NumpyOps,
     PurePythonOps,
+    _all_of_type,
+    _all_u64,
     make_ops,
 )
 
@@ -133,6 +135,18 @@ def test_numpy_guard_rejects_out_of_range_elements():
     assert ops.fast_calls == 0
     ops.binop("add", in_range, in_range)
     assert ops.fast_calls == 1
+
+
+@given(st.lists(st.one_of(_ints, st.booleans(), st.floats()),
+                min_size=1, max_size=8))
+def test_whole_vector_checks_match_the_per_lane_loop(vec):
+    """The C-speed checks behind the fleet's identity fast paths agree
+    with the per-element predicates they replace (bools are not
+    ints)."""
+    assert _all_u64(vec) == all(type(x) is int and 0 <= x <= MASK64
+                                for x in vec)
+    for cls in (int, float):
+        assert _all_of_type(vec, cls) == all(type(x) is cls for x in vec)
 
 
 def test_numpy_guard_rejects_short_vectors_and_fp_ops():
