@@ -21,8 +21,8 @@ once with no tracer (the configuration the regression gate prices)
 and once with an ``EventTracer`` attached.  Both runs must produce a
 bit-identical machine report — tracing observes, it never perturbs —
 and the measured overhead is written to
-``benchmarks/results/tracing_overhead.json`` so its trajectory is
-visible across PRs.  Only the off-vs-baseline comparison gates;
+``benchmarks/results/metrics/tracing_overhead.json``.  Only the
+off-vs-baseline comparison gates;
 tracing-on cost is reported, not gated.
 
 A machine lifecycle line reports the median cost of ``Machine()``,
@@ -36,7 +36,7 @@ and an evaluation matrix served from a warm
 :class:`~repro.memo.TrialStore` must each be bit-identical to their
 cold runs *and* beat the minimum speedups (2x / 5x); the measured
 numbers are written to
-``benchmarks/results/memoization_throughput.json``.
+``benchmarks/results/metrics/memoization_throughput.json``.
 
 A batch-engine check runs the fleet checksum sweep (32 lanes of the
 same program over lane-variant data) three ways — scalar machines one
@@ -45,7 +45,7 @@ engine, and (when NumPy is importable) on the NumPy lane engine.
 Every fleet lane must be bit-identical to its scalar run, the two
 engines must agree with each other, and each engine must beat the
 minimum single-process sweep speedup (5x).  Measurements land in
-``benchmarks/results/batch_throughput.json``.
+``benchmarks/results/metrics/batch_throughput.json``.
 
 Usage::
 
@@ -63,6 +63,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from throughput_workloads import run_replay_attack, run_spin, timed  # noqa: E402
+
+#: Where fresh measurements land: untracked, so a run leaves the
+#: committed ``benchmarks/results/*.json`` records untouched.
+METRICS_DIR = Path(__file__).parent / "results" / "metrics"
 
 #: Baseline keys checked, mapped to a measurement callable.
 CHECKS = {
@@ -170,8 +174,8 @@ def tracing_overhead_check() -> bool:
         "events_dropped": tracer.dropped,
         "bit_identical": ok,
     }
-    out = Path(__file__).parent / "results" / "tracing_overhead.json"
-    out.parent.mkdir(exist_ok=True)
+    out = METRICS_DIR / "tracing_overhead.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if ok:
         print(f"tracing overhead: OK ({slowdown:.2f}x slowdown with "
@@ -216,7 +220,7 @@ def memoization_check(min_window_speedup: float = 2.0,
     evaluation matrix runs cold into a fresh ``TrialStore`` and then
     warm; the sorted-JSON serialization must be byte-identical and
     the warm run at least *min_store_speedup* faster.  Measurements
-    land in ``benchmarks/results/memoization_throughput.json``.
+    land in ``benchmarks/results/metrics/memoization_throughput.json``.
     Returns True on success.
     """
     import dataclasses
@@ -323,8 +327,8 @@ def memoization_check(min_window_speedup: float = 2.0,
             "bit_identical": store_identical,
         },
     }
-    out = Path(__file__).parent / "results" / "memoization_throughput.json"
-    out.parent.mkdir(exist_ok=True)
+    out = METRICS_DIR / "memoization_throughput.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if ok:
         print(f"memoization: OK (window hit {window_speedup:.1f}x, "
@@ -342,7 +346,7 @@ def batch_throughput_check(min_speedup: float = 5.0,
     Each engine must produce lane outcomes bit-identical to the
     scalar runs and be at least *min_speedup* times faster than the
     scalar loop.  Measurements land in
-    ``benchmarks/results/batch_throughput.json``.  Returns True on
+    ``benchmarks/results/metrics/batch_throughput.json``.  Returns True on
     success.
     """
     import os
@@ -405,8 +409,8 @@ def batch_throughput_check(min_speedup: float = 5.0,
         "engines": measured,
         "min_speedup": min_speedup,
     }
-    out = Path(__file__).parent / "results" / "batch_throughput.json"
-    out.parent.mkdir(exist_ok=True)
+    out = METRICS_DIR / "batch_throughput.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if ok:
         summary = ", ".join(

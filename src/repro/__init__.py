@@ -21,7 +21,7 @@ cycle-level simulator written from scratch:
   (replay-window memoization + content-addressed trial store);
 * :mod:`repro.batch` -- the lockstep machine fleet: N same-program
   lanes stepped for roughly the cost of one, bit-identical to scalar
-  runs (``run_sweep(..., backend="batch")``);
+  runs (the sweep driver's ``backend="batch"``);
 * :mod:`repro.oracle` -- the taint-tracking leakage oracle: "does
   this defense work" as a checkable information-flow property
   (``Experiment(oracle=True)``, ``MatrixRunner(oracle=True)``,
@@ -38,8 +38,9 @@ The public surface is promoted to this top level (and snapshotted by
     ).run().result
     print(result.above_threshold, result.verdict)
 
-Configuration lives in :mod:`repro.config`, sweep execution (plain
-and fault-tolerant) in :mod:`repro.harness`, and the facade itself in
+Configuration lives in :mod:`repro.config`, sweep execution (one
+driver: ``run_resilient_sweep``, with ``run_sweep`` as its strict
+policy) in :mod:`repro.harness`, and the facade itself in
 :mod:`repro.experiment`; the deeper module paths all remain public
 for code that wants one abstraction level down.  Long-running
 evaluation work can also be submitted to the job service

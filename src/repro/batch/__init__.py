@@ -16,9 +16,10 @@ Entry points:
 * :class:`MachineFleet` / :func:`run_fleet` — run the lanes
   (:mod:`repro.batch.fleet`);
 * :class:`FleetTrial` — adapt a plan to the sweep-harness trial
-  contract; ``run_sweep(..., backend="batch")`` and
-  ``Experiment(backend="batch")`` batch automatically when the trial
-  function carries a ``fleet_plan``;
+  contract; the sweep driver's ``"batch"`` backend
+  (``Experiment(backend="batch")``, ``run_resilient_sweep`` and
+  ``run_sweep``) runs a fleet pre-pass when the trial function
+  carries a ``fleet_plan``;
 * :func:`make_ops` — select the lane-vector engine (NumPy fast path
   or the pure-Python fallback; ``REPRO_NO_NUMPY=1`` forces pure).
 """

@@ -19,9 +19,10 @@ plain :class:`~repro.cpu.machine.Machine`:
 is bit-identical to it lane by lane.  :class:`FleetTrial` adapts a
 plan to the harness trial contract (``fn(params, seed)``) while
 advertising the plan via its ``fleet_plan`` attribute, which is what
-``run_sweep(..., backend="batch")`` keys on.  Instances pickle (for
-the process-pool scalar path) as long as the plan's components are
-module-level.
+the sweep driver's ``"batch"`` backend
+(:class:`~repro.harness.backends.BatchBackend`) keys on.  Instances
+pickle (for the supervised worker-process path) as long as the plan's
+components are module-level.
 """
 
 from __future__ import annotations

@@ -180,11 +180,6 @@ class Experiment:
     #: lockstep-fleet pre-pass (requires ``trial=`` to carry a
     #: ``fleet_plan``; see :class:`repro.batch.FleetTrial`).
     backend: str = "scalar"
-    #: Accepted for signature symmetry with
-    #: :class:`repro.evaluation.matrix.MatrixRunner`; experiments are
-    #: not service-routable (only whole matrices are), so any non-None
-    #: value raises at :meth:`run`.
-    service: Any = None
     #: Taint-tracking leakage oracle: ``True`` / an
     #: :class:`~repro.oracle.OracleConfig` (or its dict form) runs
     #: every trial under :func:`repro.oracle.activate` and fills
@@ -264,12 +259,6 @@ class Experiment:
 
     def run(self) -> ExperimentReport:
         """Execute and return an :class:`ExperimentReport`."""
-        if self.service is not None:
-            raise NotImplementedError(
-                "Experiment(service=...) is not supported: the "
-                "experiment service executes whole matrices, not "
-                "arbitrary trial callables. Use "
-                "repro.evaluation.MatrixRunner(service=...) instead.")
         from repro.oracle.tracker import _coerce_config
         oracle_config = _coerce_config(self.oracle)
         trial_fn, params = self._trial_spec()

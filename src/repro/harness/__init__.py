@@ -6,17 +6,19 @@ trials* whose results merge order-independently.  This package fans
 such trials across worker processes — and keeps the sweep alive when
 workers misbehave:
 
-* :mod:`repro.harness.pool` — order-preserving process-pool plumbing;
+* :mod:`repro.harness.sweep` — deterministic seed derivation, trial
+  lists and merge helpers;
+* :mod:`repro.harness.resilience` — the one sweep driver,
+  :func:`run_resilient_sweep`: watchdog timeouts, bounded retries
+  with fresh seed lineage, graceful degradation, journalled resume,
+  the trial-store resolve step and the :class:`SweepReport`
+  accounting.  :func:`run_sweep` is its strict policy (one attempt,
+  the first failure raises :class:`SweepFailure`); the service's
+  ``CellExecutor`` is its sharded policy;
 * :mod:`repro.harness.backends` — the pluggable
   :class:`ExecutionBackend` layer (inline / supervised pool /
   lockstep batch fleet, plus auto-selecting ``scalar``) every trial
-  dispatch path runs through;
-* :mod:`repro.harness.sweep` — deterministic seed derivation, the
-  :func:`run_sweep` driver, and merge helpers;
-* :mod:`repro.harness.resilience` — the fault-tolerant layer:
-  watchdog timeouts, bounded retries with fresh seed lineage,
-  graceful degradation, journalled resume, and the
-  :class:`SweepReport` accounting (:func:`run_resilient_sweep`);
+  dispatch runs through;
 * :mod:`repro.harness.journal` — on-disk checkpointing of completed
   trials so interrupted sweeps resume without rerunning anything;
 * :mod:`repro.harness.chaos` — deterministic fault injection
@@ -50,26 +52,20 @@ from repro.harness.journal import (
     JournalMismatch,
     SweepJournal,
 )
-from repro.harness.pool import default_workers, run_indexed
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
-    ResilientSweepResult,
     SweepFailure,
     SweepReport,
+    SweepResult,
     TrialAttempt,
     TrialReport,
     collect_sweep_reports,
+    default_workers,
     run_resilient_sweep,
-)
-from repro.harness.sweep import (
-    SweepResult,
-    Trial,
-    derive_seed,
-    merge_ordered,
-    run_batched,
     run_sweep,
 )
+from repro.harness.sweep import Trial, derive_seed, merge_ordered
 
 __all__ = [
     "FAULT_KINDS",
@@ -85,7 +81,6 @@ __all__ = [
     "ScalarBackend",
     "JournalError",
     "JournalMismatch",
-    "ResilientSweepResult",
     "SweepFailure",
     "SweepJournal",
     "SweepReport",
@@ -100,8 +95,6 @@ __all__ = [
     "resolve_backend",
     "derive_seed",
     "merge_ordered",
-    "run_batched",
-    "run_indexed",
     "run_resilient_sweep",
     "run_sweep",
 ]

@@ -45,6 +45,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import heapq
+import multiprocessing
 import pickle
 import time
 from dataclasses import dataclass, field, replace
@@ -60,7 +61,6 @@ from typing import (
 )
 
 from repro.harness.journal import SweepJournal
-from repro.harness.pool import _mp_context
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
@@ -126,6 +126,15 @@ class ExecutionBackend(abc.ABC):
 
 
 # --- worker side ----------------------------------------------------------
+
+
+def _mp_context():
+    """Prefer fork (cheap, inherits the imported simulator); fall back
+    to the platform default where fork is unavailable."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _attempt_worker(fn, params, seed, chaos, index, attempt, conn):
@@ -431,6 +440,7 @@ def _run_inline(trial_fn: TrialFn, todo: Sequence[Trial], *,
     for trial in todo:
         attempts: List[TrialAttempt] = []
         resolved = False
+        error: Optional[Exception] = None
         for attempt in range(policy.max_attempts):
             if attempt:
                 delay = policy.backoff(attempt)
@@ -449,6 +459,7 @@ def _run_inline(trial_fn: TrialFn, todo: Sequence[Trial], *,
                         attempt=attempt, outcome="rejected",
                         seed=seed, started=started, duration=duration,
                         error="verify hook rejected the result"))
+                    error = None
                     continue
                 attempts.append(TrialAttempt(
                     attempt=attempt, outcome="ok", seed=seed,
@@ -467,13 +478,14 @@ def _run_inline(trial_fn: TrialFn, todo: Sequence[Trial], *,
                     attempt=attempt, outcome="exception", seed=seed,
                     started=started, duration=duration,
                     error=f"{type(exc).__name__}: {exc}"))
+                error = exc
         if resolved:
             continue
         if policy.on_exhausted == "raise":
             reports[trial.index] = TrialReport(
                 index=trial.index, attempts=attempts,
                 resolution="failed")
-            raise SweepFailure(trial.index, attempts)
+            raise SweepFailure(trial.index, attempts) from error
         if policy.on_exhausted == "skip":
             outcomes[trial.index] = SKIPPED
             resolution = "skipped"

@@ -1,10 +1,12 @@
-"""Fault-tolerant sweep execution: watchdog, retries, degradation.
+"""The sweep driver: watchdog, retries, degradation, resume.
 
-:func:`repro.harness.run_sweep` assumes every trial succeeds: one
-crashed or hung worker process loses the whole sweep.  At experiment
-volume that assumption fails routinely — OOM kills, wedged simulations,
-flaky serialisation — so this layer wraps the sweep contract in a
-supervisor that *expects* trials to misbehave:
+Every sweep in the repository runs through :func:`run_resilient_sweep`
+under a :class:`FaultPolicy`.  :func:`run_sweep` is its strict
+policy (one attempt, the first failure aborts); the service's
+:class:`~repro.service.executor.CellExecutor` is its sharded policy,
+running the same :class:`TrialResolver` step per claimed batch.  At
+experiment volume trials misbehave routinely — OOM kills, wedged
+simulations, flaky serialisation — so the driver supervises them:
 
 * **watchdog timeouts** — each attempt runs in its own worker process
   with a deadline; the supervisor kills and reaps workers that blow
@@ -42,10 +44,12 @@ fault-free run.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -56,8 +60,10 @@ from typing import (
 )
 
 from repro.harness.journal import SweepJournal
-from repro.harness.pool import default_workers
-from repro.harness.sweep import SweepResult, Trial, TrialFn, derive_seed
+from repro.harness.sweep import Trial, TrialFn, build_trials
+
+if TYPE_CHECKING:
+    from repro.harness.backends import ExecutionRequest
 
 #: Attempt outcomes, in severity order.  "ok" terminates the ladder;
 #: everything else triggers a retry (or exhaustion).
@@ -99,6 +105,8 @@ class SweepFailure(RuntimeError):
 
     def __init__(self, index: int, attempts: List["TrialAttempt"]):
         causes = ", ".join(a.outcome for a in attempts) or "none"
+        if attempts and attempts[-1].error:
+            causes += f": {attempts[-1].error}"
         super().__init__(
             f"trial {index} failed after {len(attempts)} attempt(s) "
             f"({causes})")
@@ -281,16 +289,26 @@ class SweepReport:
 
 
 @dataclass
-class ResilientSweepResult(SweepResult):
-    """A :class:`~repro.harness.sweep.SweepResult` plus the
-    fault-tolerance accounting.  ``outcomes`` keeps one slot per
-    trial (``SKIPPED`` marks dropped trials); ``results()`` filters
-    the markers out."""
+class SweepResult:
+    """All trials of one sweep with their results, in trial order,
+    plus the fault-tolerance accounting.  ``outcomes`` keeps one slot
+    per trial (``SKIPPED`` marks dropped trials); ``results()``
+    filters the markers out."""
 
+    label: str
+    master_seed: int
+    trials: List[Trial]
+    outcomes: List[Any]
     report: Optional[SweepReport] = None
 
     def results(self) -> List[Any]:
         return [o for o in self.outcomes if o is not SKIPPED]
+
+    def __iter__(self):
+        return iter(zip(self.trials, self.outcomes))
+
+    def __len__(self) -> int:
+        return len(self.trials)
 
 
 # --- sweep-report collector (benchmark harness hook) ----------------------
@@ -322,19 +340,138 @@ def collect_sweep_reports() -> Iterator[List[SweepReport]]:
 # --- driver ---------------------------------------------------------------
 
 
-def _trial_keys(trial_fn: TrialFn, trials: Sequence[Trial],
-                store: Any) -> Dict[int, str]:
-    """Content addresses for every keyable trial; unkeyable trials
-    are simply absent (they run uncached, with a counter bump)."""
-    from repro.memo.keys import Unmemoizable, trial_key
-    keys: Dict[int, str] = {}
-    for trial in trials:
+def default_workers() -> int:
+    """Worker-count default: ``REPRO_WORKERS`` if set, else the CPUs
+    this process may actually run on.  Returns at least 1.
+
+    ``os.sched_getaffinity`` is preferred over ``os.cpu_count``
+    because cgroup cpusets (CI runners, containers) often pin the
+    process to far fewer CPUs than the host owns; sizing the pool to
+    the host count there just makes workers fight over the allowed
+    cores.
+    """
+    env = os.environ.get("REPRO_WORKERS", "")
+    if env:
         try:
-            keys[trial.index] = trial_key(trial_fn, trial.params,
-                                          trial.seed)
-        except Unmemoizable:
-            store.note_uncacheable()
-    return keys
+            return max(1, int(env))
+        except ValueError:
+            pass
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        try:
+            return max(1, len(affinity(0)))
+        except OSError:
+            pass
+    return max(1, os.cpu_count() or 1)
+
+
+def absorb_journal(entries: Dict[int, Any], outcomes: Dict[int, Any],
+                   reports: Dict[int, TrialReport]) -> None:
+    """Resolve every journalled trial not resolved yet as
+    ``"journal"`` (*entries* is a ``SweepJournal.open``/``peek``
+    result)."""
+    for index, (_attempt, result) in entries.items():
+        if index not in reports:
+            outcomes[index] = result
+            reports[index] = TrialReport(index=index, attempts=[],
+                                         resolution="journal")
+
+
+class TrialResolver:
+    """The resolve step every sweep policy runs over its todo lists.
+
+    :func:`run_resilient_sweep` resolves its sweep through one
+    :meth:`resolve` call, a service
+    :class:`~repro.service.executor.CellExecutor` one call per claimed
+    batch.  Each call serves the trials the content-addressed *store*
+    (path or :class:`~repro.memo.store.TrialStore`) holds — a hit is
+    journalled when a journal is attached, so the journal stays the
+    completion truth — hands the rest to the
+    :class:`~repro.harness.backends.ExecutionBackend`, and persists
+    the attempt-0 successes.  :meth:`cache_delta` is the store's
+    counter movement since construction.
+    """
+
+    def __init__(self, trial_fn: TrialFn, backend: Any, store: Any):
+        from repro.harness.backends import resolve_backend
+        self.backend = resolve_backend(backend)
+        self.backend.validate(trial_fn)
+        self.store = store
+        if store is not None:
+            from repro.memo.store import TrialStore
+            if not isinstance(store, TrialStore):
+                self.store = TrialStore(store)
+        self._counts = (self.store.counts()
+                        if self.store is not None else {})
+
+    def _keys(self, trial_fn: TrialFn,
+              trials: Sequence[Trial]) -> Dict[int, str]:
+        """Content addresses for every keyable trial; unkeyable
+        trials are simply absent (they run uncached, with a counter
+        bump)."""
+        from repro.memo.keys import Unmemoizable, trial_key
+        keys: Dict[int, str] = {}
+        for trial in trials:
+            try:
+                keys[trial.index] = trial_key(trial_fn, trial.params,
+                                              trial.seed)
+            except Unmemoizable:
+                self.store.note_uncacheable()
+        return keys
+
+    def resolve(self, request: ExecutionRequest) -> None:
+        """Resolve ``request.todo`` into ``request.outcomes`` /
+        ``request.reports``.  On return ``request.todo`` holds the
+        trials the backend ran and ``request.workers`` the worker
+        count it ran them with."""
+        todo = list(request.todo)
+        keys: Dict[int, str] = {}
+        if self.store is not None:
+            keys = self._keys(request.trial_fn, todo)
+            remaining = []
+            for trial in todo:
+                hit, result = (
+                    self.store.get(keys[trial.index],
+                                   verify=request.policy.verify)
+                    if trial.index in keys else (False, None))
+                if not hit:
+                    remaining.append(trial)
+                    continue
+                request.outcomes[trial.index] = result
+                request.reports[trial.index] = TrialReport(
+                    index=trial.index, attempts=[],
+                    resolution="cached")
+                if request.journal is not None:
+                    request.journal.record(trial.index, 0, trial.seed,
+                                           result)
+            todo = remaining
+        request.todo = todo
+        request.workers = min(max(request.workers, 1),
+                              max(len(todo), 1))
+        if not todo:
+            return
+        self.backend.execute(request)
+        # Persist first-attempt successes only: a retry ran with an
+        # attempt-k seed, and lookups always use the attempt-0 seed,
+        # so caching a retried result would pair the wrong lineage.
+        for trial in todo:
+            report = request.reports.get(trial.index)
+            if (trial.index in keys
+                    and report is not None
+                    and report.resolution == "ok"
+                    and report.attempts
+                    and report.attempts[-1].attempt == 0):
+                self.store.put(keys[trial.index], trial.seed,
+                               request.outcomes[trial.index])
+
+    def cache_delta(self) -> Optional[Dict[str, int]]:
+        """Store counter deltas (hits, misses, stores, ...) since
+        construction, or ``None`` when no store is attached."""
+        if self.store is None:
+            return None
+        counts = self.store.counts()
+        return {name: counts[name] - self._counts.get(name, 0)
+                for name in counts}
 
 
 def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
@@ -347,26 +484,30 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
                         store: Any = None,
                         metrics: Any = None,
                         tracer: Any = None,
-                        backend: str = "scalar") -> ResilientSweepResult:
+                        backend: str = "scalar") -> SweepResult:
     """Run a sweep that survives crashing, hanging and lying workers.
 
-    Drop-in superset of :func:`repro.harness.run_sweep`: same trial
-    contract, same seed derivation, same trial-order merge — plus the
-    :class:`FaultPolicy` retry ladder, optional
+    Runs ``trial_fn(params[i], seed_i)`` for every parameter set, with
+    the seed derivation and trial-order merge of the module docstring,
+    under the :class:`FaultPolicy` retry ladder (default: three
+    attempts, then raise) — plus optional
     :class:`~repro.harness.chaos.ChaosPlan` injection, optional
     on-disk *journal* (path or :class:`SweepJournal`) for resume,
     optional content-addressed *store* (path or
     :class:`~repro.memo.store.TrialStore`) that serves previously
     computed trials across sweeps and processes, and optional
     *metrics* registry / *tracer* to record the :class:`SweepReport`
-    into.
+    into.  *trial_fn* must be a top-level (picklable) callable
+    wherever attempts run in worker processes.  ``workers=None`` uses
+    :func:`default_workers`.
 
     Store semantics: a trial whose key (trial-function fingerprint +
     canonical params + derived seed) has a sound record is resolved
-    "cached" without running; first-attempt successes are persisted
-    for future sweeps.  ``FaultPolicy.verify`` vets cached results
-    exactly like fresh ones — a rejected or corrupt record is a miss
-    that recomputes, never a wrong result.
+    "cached" without running (and journalled, when a journal is
+    attached); first-attempt successes are persisted for future
+    sweeps.  ``FaultPolicy.verify`` vets cached results exactly like
+    fresh ones — a rejected or corrupt record is a miss that
+    recomputes, never a wrong result.
 
     Execution is delegated to a pluggable
     :class:`~repro.harness.backends.ExecutionBackend` named by
@@ -374,8 +515,7 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
 
     * ``"scalar"`` (default) auto-selects — with no chaos, no
       watchdog timeout and one worker, trials run inline in this
-      process (bit-compatible with ``run_sweep(workers=1)`` plus
-      retries); otherwise every attempt gets its own supervised
+      process; otherwise every attempt gets its own supervised
       worker process;
     * ``"inline"`` / ``"pool"`` force those two paths explicitly;
     * ``"batch"`` (requires a *trial_fn* carrying a ``fleet_plan``;
@@ -392,108 +532,67 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
     All backends produce bit-identical results for the same inputs
     (``tests/harness/test_backends.py``).
     """
-    from repro.harness.backends import ExecutionRequest, resolve_backend
-    backend_obj = resolve_backend(backend)
-    backend_obj.validate(trial_fn)
-    policy = policy or FaultPolicy()
-    params = list(params)
-    trials = [Trial(index=i,
-                    seed=derive_seed(master_seed, i, label), params=p)
-              for i, p in enumerate(params)]
+    from repro.harness.backends import ExecutionRequest
+    resolver = TrialResolver(trial_fn, backend, store)
+    trials = build_trials(params, master_seed, label)
     outcomes: Dict[int, Any] = {}
     reports: Dict[int, TrialReport] = {}
-
     journal_obj: Optional[SweepJournal] = None
     if journal is not None:
         journal_obj = (journal if isinstance(journal, SweepJournal)
                        else SweepJournal(journal))
-        for index, (attempt, result) in journal_obj.open(
-                label, master_seed, len(trials)).items():
-            outcomes[index] = result
-            reports[index] = TrialReport(index=index, attempts=[],
-                                         resolution="journal")
-
-    store_obj = None
-    keys: Dict[int, str] = {}
-    counts_before: Dict[str, int] = {}
-    if store is not None:
-        from repro.memo.store import TrialStore
-        store_obj = (store if isinstance(store, TrialStore)
-                     else TrialStore(store))
-        counts_before = store_obj.counts()
-        keys = _trial_keys(trial_fn, trials, store_obj)
-        for trial in trials:
-            if trial.index in reports or trial.index not in keys:
-                continue
-            hit, result = store_obj.get(keys[trial.index],
-                                        verify=policy.verify)
-            if hit:
-                outcomes[trial.index] = result
-                reports[trial.index] = TrialReport(
-                    index=trial.index, attempts=[],
-                    resolution="cached")
-
-    todo = [t for t in trials if t.index not in reports]
-    if workers is None:
-        effective_workers = default_workers()
-    else:
-        effective_workers = max(int(workers), 1)
-    effective_workers = min(effective_workers, max(len(todo), 1))
-
+        absorb_journal(journal_obj.open(label, master_seed,
+                                        len(trials)),
+                       outcomes, reports)
     t0 = time.perf_counter()
-    request: Optional[ExecutionRequest] = None
+    request = ExecutionRequest(
+        trial_fn=trial_fn,
+        todo=[t for t in trials if t.index not in reports],
+        policy=policy or FaultPolicy(), master_seed=master_seed,
+        label=label,
+        workers=default_workers() if workers is None else int(workers),
+        chaos=chaos, journal=journal_obj, outcomes=outcomes,
+        reports=reports, t0=t0)
     try:
-        if todo:
-            request = ExecutionRequest(
-                trial_fn=trial_fn, todo=todo, policy=policy,
-                master_seed=master_seed, label=label,
-                workers=effective_workers, chaos=chaos,
-                journal=journal_obj, outcomes=outcomes,
-                reports=reports, t0=t0)
-            backend_obj.execute(request)
+        resolver.resolve(request)
     finally:
         if journal_obj is not None:
             journal_obj.close()
-    if request is not None:
-        # Backends may clamp the worker count (e.g. the batch
-        # pre-pass shrinking the remainder); report what actually ran.
-        effective_workers = request.workers
-
-    if store_obj is not None:
-        # Persist first-attempt successes only: a retry ran with an
-        # attempt-k seed, and lookups always use the attempt-0 seed,
-        # so caching a retried result would pair the wrong lineage.
-        for trial in todo:
-            trial_report = reports.get(trial.index)
-            if (trial.index in keys
-                    and trial_report is not None
-                    and trial_report.resolution == "ok"
-                    and trial_report.attempts
-                    and trial_report.attempts[-1].attempt == 0):
-                store_obj.put(keys[trial.index], trial.seed,
-                              outcomes[trial.index])
-
-    wall = time.perf_counter() - t0
-    cache_delta: Optional[Dict[str, int]] = None
-    if store_obj is not None:
-        counts_after = store_obj.counts()
-        cache_delta = {name: counts_after[name]
-                       - counts_before.get(name, 0)
-                       for name in counts_after}
     report = SweepReport(
-        label=label, master_seed=master_seed,
-        workers=effective_workers,
+        label=label, master_seed=master_seed, workers=request.workers,
         trials=[reports[t.index] for t in trials],
-        wall_seconds=wall, cache=cache_delta)
+        wall_seconds=time.perf_counter() - t0,
+        cache=resolver.cache_delta())
     if metrics is not None:
         report.record_into(metrics)
     if tracer is not None:
         report.emit_trace(tracer)
     note_sweep_report(report)
-    return ResilientSweepResult(
+    return SweepResult(
         label=label, master_seed=master_seed, trials=trials,
-        outcomes=[outcomes[t.index] for t in trials],
-        report=report)
+        outcomes=[outcomes[t.index] for t in trials], report=report)
+
+
+def run_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
+              master_seed: int = 0, workers: Optional[int] = None,
+              label: str = "", backend: str = "scalar") -> SweepResult:
+    """:func:`run_resilient_sweep` under the strict policy: one
+    attempt per trial, and the first failure aborts the sweep with a
+    :class:`SweepFailure` naming the trial and its error.
+
+    ``backend`` selects the execution engine as for
+    :func:`run_resilient_sweep`: ``"scalar"`` (default) runs one
+    machine per trial, in-process or across worker processes;
+    ``"batch"`` runs the trials as lanes of one
+    :class:`~repro.batch.fleet.MachineFleet`, which requires
+    *trial_fn* to carry a ``fleet_plan`` (see
+    :class:`repro.batch.FleetTrial`) and produces bit-identical
+    results lane by lane.
+    """
+    return run_resilient_sweep(
+        trial_fn, params, master_seed=master_seed, workers=workers,
+        label=label, backend=backend,
+        policy=FaultPolicy(max_attempts=1, on_exhausted="raise"))
 
 
 __all__ = [
@@ -501,12 +600,14 @@ __all__ = [
     "RESOLUTIONS",
     "SKIPPED",
     "FaultPolicy",
-    "ResilientSweepResult",
     "SweepFailure",
     "SweepReport",
+    "SweepResult",
     "TrialAttempt",
     "TrialReport",
     "collect_sweep_reports",
+    "default_workers",
     "note_sweep_report",
     "run_resilient_sweep",
+    "run_sweep",
 ]

@@ -13,8 +13,9 @@ coordination beyond two append-only files:
   live claim on.
 
 The execution loop is: peek the journal → drop completed cells →
-claim a batch of unclaimed pending cells → resolve them (trial store
-first, then the job's configured
+claim a batch of unclaimed pending cells → resolve them through the
+sweep driver's :class:`~repro.harness.resilience.TrialResolver`
+(trial store first, then the job's configured
 :class:`~repro.harness.backends.ExecutionBackend`) → repeat.  When
 every pending cell is claimed by someone else the executor polls the
 journal until they land (or their claims lease out, at which point it
@@ -29,15 +30,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.backends import ExecutionRequest, resolve_backend
+from repro.harness.backends import ExecutionRequest
 from repro.harness.journal import SweepJournal
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
     SweepReport,
     TrialReport,
+    TrialResolver,
+    absorb_journal,
 )
-from repro.harness.sweep import Trial, TrialFn, derive_seed
+from repro.harness.sweep import Trial, TrialFn, build_trials
 from repro.service.ledger import CellLedger
 
 #: How many cells one claim batch grabs — small enough that shards
@@ -79,67 +82,6 @@ class CellExecutor:
     should_stop: Optional[Callable[[], bool]] = None
     report: Optional[SweepReport] = field(default=None, init=False)
 
-    def _trials(self) -> List[Trial]:
-        return [Trial(index=i,
-                      seed=derive_seed(self.master_seed, i, self.label),
-                      params=p)
-                for i, p in enumerate(self.params)]
-
-    # --- store integration ------------------------------------------------
-
-    def _store_keys(self, trials: List[Trial]) -> Dict[int, str]:
-        if self.store is None:
-            return {}
-        from repro.harness.resilience import _trial_keys
-        return _trial_keys(self.trial_fn, trials, self.store)
-
-    def _resolve_cached(self, todo: List[Trial],
-                        keys: Dict[int, str],
-                        journal: SweepJournal,
-                        outcomes: Dict[int, Any],
-                        reports: Dict[int, TrialReport]
-                        ) -> List[Trial]:
-        """Serve claimed cells from the trial store; journal the hits
-        so every other worker sees them as completed."""
-        if self.store is None:
-            return todo
-        remaining: List[Trial] = []
-        for trial in todo:
-            key = keys.get(trial.index)
-            if key is None:
-                remaining.append(trial)
-                continue
-            hit, result = self.store.get(key,
-                                         verify=self.policy.verify)
-            if not hit:
-                remaining.append(trial)
-                continue
-            outcomes[trial.index] = result
-            reports[trial.index] = TrialReport(
-                index=trial.index, attempts=[], resolution="cached")
-            journal.record(trial.index, 0, trial.seed, result)
-        return remaining
-
-    def _persist(self, todo: List[Trial], keys: Dict[int, str],
-                 outcomes: Dict[int, Any],
-                 reports: Dict[int, TrialReport]) -> None:
-        """Store attempt-0 successes (same rule as the sweep driver:
-        retried results ran under attempt-k seeds and must not be
-        cached against the attempt-0 key)."""
-        if self.store is None:
-            return
-        for trial in todo:
-            report = reports.get(trial.index)
-            if (trial.index in keys
-                    and report is not None
-                    and report.resolution == "ok"
-                    and report.attempts
-                    and report.attempts[-1].attempt == 0):
-                self.store.put(keys[trial.index], trial.seed,
-                               outcomes[trial.index])
-
-    # --- the loop ---------------------------------------------------------
-
     def run(self) -> Tuple[List[Any], SweepReport]:
         """Cooperate on the job until every cell is journalled.
 
@@ -148,43 +90,34 @@ class CellExecutor:
         workers ran appear with resolution ``"journal"``).
         """
         t0 = time.perf_counter()
-        trials = self._trials()
-        counts_before: Dict[str, int] = (
-            self.store.counts() if self.store is not None else {})
+        resolver = TrialResolver(self.trial_fn, self.backend,
+                                 self.store)
+        trials = build_trials(self.params, self.master_seed,
+                              self.label)
         journal = SweepJournal(self.journal_path, atomic=True)
         outcomes: Dict[int, Any] = {}
         reports: Dict[int, TrialReport] = {}
-        for index, (_attempt, result) in journal.open(
-                self.label, self.master_seed, len(trials)).items():
-            outcomes[index] = result
-            reports[index] = TrialReport(index=index, attempts=[],
-                                         resolution="journal")
-        keys = self._store_keys(trials)
+        absorb_journal(journal.open(self.label, self.master_seed,
+                                    len(trials)),
+                       outcomes, reports)
         try:
-            self._loop(trials, journal, keys, outcomes, reports, t0)
+            self._loop(resolver, trials, journal, outcomes, reports,
+                       t0)
         finally:
             journal.close()
-        wall = time.perf_counter() - t0
-        cache_delta: Optional[Dict[str, int]] = None
-        if self.store is not None:
-            counts_after = self.store.counts()
-            cache_delta = {name: counts_after[name]
-                           - counts_before.get(name, 0)
-                           for name in counts_after}
         self.report = SweepReport(
             label=self.label, master_seed=self.master_seed,
             workers=self.workers,
             trials=[reports[t.index] for t in trials
                     if t.index in reports],
-            wall_seconds=wall, cache=cache_delta)
+            wall_seconds=time.perf_counter() - t0,
+            cache=resolver.cache_delta())
         results = [outcomes.get(t.index) for t in trials]
         return results, self.report
 
-    def _loop(self, trials: List[Trial], journal: SweepJournal,
-              keys: Dict[int, str], outcomes: Dict[int, Any],
+    def _loop(self, resolver: TrialResolver, trials: List[Trial],
+              journal: SweepJournal, outcomes: Dict[int, Any],
               reports: Dict[int, TrialReport], t0: float) -> None:
-        backend_obj = resolve_backend(self.backend)
-        backend_obj.validate(self.trial_fn)
         while True:
             if self.should_stop is not None and self.should_stop():
                 return
@@ -201,19 +134,16 @@ class CellExecutor:
                 time.sleep(self.poll_interval)
                 self._absorb(journal, outcomes, reports)
                 continue
-            todo = [t for t in pending if t.index in won]
-            todo = self._resolve_cached(todo, keys, journal,
-                                        outcomes, reports)
-            if todo:
-                backend_obj.execute(ExecutionRequest(
-                    trial_fn=self.trial_fn, todo=todo,
-                    policy=self.policy, master_seed=self.master_seed,
-                    label=self.label, workers=self.workers,
-                    chaos=None, journal=journal, outcomes=outcomes,
-                    reports=reports, t0=t0))
-                self._journal_unjournalled(todo, journal, outcomes,
-                                           reports)
-                self._persist(todo, keys, outcomes, reports)
+            request = ExecutionRequest(
+                trial_fn=self.trial_fn,
+                todo=[t for t in pending if t.index in won],
+                policy=self.policy, master_seed=self.master_seed,
+                label=self.label, workers=self.workers, chaos=None,
+                journal=journal, outcomes=outcomes, reports=reports,
+                t0=t0)
+            resolver.resolve(request)
+            self._journal_unjournalled(request.todo, journal,
+                                       outcomes, reports)
             if self.on_progress is not None:
                 self.on_progress(len(reports))
 
@@ -221,11 +151,7 @@ class CellExecutor:
                 outcomes: Dict[int, Any],
                 reports: Dict[int, TrialReport]) -> None:
         """Pull other workers' completions out of the journal."""
-        for index, (_attempt, result) in journal.peek().items():
-            if index not in reports:
-                outcomes[index] = result
-                reports[index] = TrialReport(
-                    index=index, attempts=[], resolution="journal")
+        absorb_journal(journal.peek(), outcomes, reports)
         if self.on_progress is not None:
             self.on_progress(len(reports))
 

@@ -8,7 +8,12 @@ import pytest
 
 import repro
 from repro.batch import FleetPlan, FleetTrial, LaneInit
-from repro.harness import run_resilient_sweep, run_sweep
+from repro.harness import (
+    SweepFailure,
+    derive_seed,
+    run_resilient_sweep,
+    run_sweep,
+)
 from repro.isa.program import ProgramBuilder
 from repro.mem.physical import PhysicalMemoryError
 from repro.snapshot import MachineSnapshot
@@ -86,15 +91,19 @@ def test_run_sweep_unknown_backend():
 def test_run_sweep_batch_raises_first_lane_error():
     # Find a master seed whose derived seeds actually hit the bad
     # lane-init predicate, so the test cannot rot silently.
-    from repro.harness import derive_seed
     master = next(m for m in range(100)
                   if any(derive_seed(m, i) % 3 == 0
                          for i in range(len(PARAMS))))
-    with pytest.raises(PhysicalMemoryError):
-        run_sweep(BAD_TRIAL, PARAMS, master_seed=master, workers=1)
-    with pytest.raises(PhysicalMemoryError):
-        run_sweep(BAD_TRIAL, PARAMS, master_seed=master,
-                  backend="batch")
+    # The strict policy names the trial's own error, whichever engine
+    # ran it: inline, the supervised pool, or the batch fleet.
+    for engine in ({"workers": 1}, {"workers": 2}, {"backend": "batch"}):
+        with pytest.raises(SweepFailure,
+                           match="PhysicalMemoryError") as excinfo:
+            run_sweep(BAD_TRIAL, PARAMS, master_seed=master, **engine)
+        if engine == {"workers": 1}:
+            # In-process, the trial's exception is chained as well.
+            assert isinstance(excinfo.value.__cause__,
+                              PhysicalMemoryError)
 
 
 def test_resilient_batch_equals_scalar():
@@ -115,7 +124,7 @@ def test_resilient_batch_failed_lane_falls_to_scalar_ladder():
     """A lane the fleet cannot complete gets the full scalar retry
     ladder (no attempt burned by the fleet) and then the policy's
     exhaustion handling."""
-    from repro.harness import FaultPolicy, derive_seed
+    from repro.harness import FaultPolicy
     master = next(m for m in range(100)
                   if any(derive_seed(m, i, "lad") % 3 == 0
                          for i in range(len(PARAMS))))

@@ -36,6 +36,15 @@ def seed_echo(params, seed):
     return (params, seed)
 
 
+def slow_for_even(params, seed):
+    """Uneven completion times: even params take longer, so workers
+    really do finish out of submission order."""
+    total = 0
+    for i in range((params % 2 == 0) * 20_000 + 10):
+        total += i
+    return params, total
+
+
 def flaky_even_first(params, seed):
     """Even params fail on their attempt-0 seed (retries succeed)."""
     if params % 2 == 0 and seed == derive_seed(7, params, "par"):
@@ -83,17 +92,21 @@ FLEET_PARAMS = [{"k": k} for k in range(4)]
 
 @pytest.mark.parametrize("backend", GENERIC_BACKENDS)
 def test_backend_parity_results_and_report(backend):
-    reference = run_resilient_sweep(
-        seed_echo, list(range(6)), master_seed=7, label="par",
-        policy=FAST, workers=1, backend="inline")
-    other = run_resilient_sweep(
-        seed_echo, list(range(6)), master_seed=7, label="par",
-        policy=FAST, workers=2, backend=backend)
-    assert other.results() == reference.results()
-    assert ([t.seed for t in other.trials]
-            == [t.seed for t in reference.trials])
-    assert (other.report.resolution_counts()
-            == reference.report.resolution_counts())
+    params = list(range(6))
+    # Results land in submission order however the workers finish.
+    for trial_fn in (seed_echo, slow_for_even):
+        reference = run_resilient_sweep(
+            trial_fn, params, master_seed=7, label="par",
+            policy=FAST, workers=1, backend="inline")
+        other = run_resilient_sweep(
+            trial_fn, params, master_seed=7, label="par",
+            policy=FAST, workers=2, backend=backend)
+        assert other.results() == reference.results()
+        assert [p for p, _ in other.results()] == params
+        assert ([t.seed for t in other.trials]
+                == [t.seed for t in reference.trials])
+        assert (other.report.resolution_counts()
+                == reference.report.resolution_counts())
 
 
 @pytest.mark.parametrize("backend", GENERIC_BACKENDS)

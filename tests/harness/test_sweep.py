@@ -15,22 +15,21 @@ from repro.harness import (
     default_workers,
     derive_seed,
     merge_ordered,
-    run_indexed,
     run_sweep,
 )
 
 
-def _square(item):
-    return item * item
+def _square(params, seed):
+    return params * params
 
 
-def _slow_for_even(item):
-    # Uneven completion times: even items take longer, so a pool's
+def _slow_for_even(params, seed):
+    # Uneven completion times: even params take longer, so a pool's
     # unordered completion really is out of submission order.
     total = 0
-    for i in range((item % 2 == 0) * 20_000 + 10):
+    for i in range((params % 2 == 0) * 20_000 + 10):
         total += i
-    return item, total
+    return params, total
 
 
 def _seed_echo_trial(params, seed):
@@ -47,16 +46,19 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 def test_run_indexed_preserves_submission_order():
-    items = list(range(40))
-    inline = run_indexed(_slow_for_even, items, workers=1)
-    pooled = run_indexed(_slow_for_even, items, workers=4)
+    # The sweep driver returns results in submission order however
+    # its workers finish.
+    params = list(range(40))
+    inline = run_sweep(_slow_for_even, params, workers=1).results()
+    pooled = run_sweep(_slow_for_even, params, workers=4).results()
     assert pooled == inline
-    assert [item for item, _ in pooled] == items
+    assert [p for p, _ in pooled] == params
 
 
 def test_run_indexed_empty_and_single():
-    assert run_indexed(_square, [], workers=8) == []
-    assert run_indexed(_square, [3], workers=8) == [9]
+    # More workers than trials, down to none at all.
+    assert run_sweep(_square, [], workers=8).results() == []
+    assert run_sweep(_square, [3], workers=8).results() == [9]
 
 
 def test_run_sweep_hands_each_trial_its_derived_seed():
